@@ -10,13 +10,14 @@ makes the steady state the unique solution of ``A V + V A.T + D = 0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, GsynthError, NotHurwitzError
 from .gaussian import CovarianceMatrix, purity, symplectic_form
-from .numerics import expm, is_hurwitz, max_abs, solve_lyapunov
+from .numerics import expm, max_abs, solve_lyapunov
 from .synthesis import Realization, ConstraintReport, verify_constraints
 
 #: Hard bound on the imaginary residue tolerated when forming the diffusion matrix.
@@ -78,9 +79,11 @@ def build_moment_system(g, c) -> MomentSystem:
 
 
 def steady_state(system: MomentSystem) -> CovarianceMatrix:
-    """Unique steady-state covariance of a stable moment system."""
-    if not is_hurwitz(system.A):
-        raise NotHurwitzError("moment system is unstable; no steady state exists")
+    """Unique steady-state covariance of a stable moment system.
+
+    Raises ``NotHurwitzError`` (from ``solve_lyapunov``) when the drift is
+    not Hurwitz.
+    """
     return CovarianceMatrix(solve_lyapunov(system.A, system.D))
 
 
@@ -93,73 +96,61 @@ class Trajectory:
     covariances: np.ndarray
 
 
-def evolve(system: MomentSystem, v0: CovarianceMatrix, times,
-           mean0=None, method: str = "auto") -> Trajectory:
+def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Trajectory:
     """Propagate the moment equations from ``v0`` (and ``mean0``, default 0).
 
-    The mean always follows ``exp(A t) mean0``. For the covariance, a
-    Hurwitz system uses the exact fixed-point form
-    ``V(t) = exp(A t) (V0 - Vinf) exp(A.T t) + Vinf``; otherwise (or when
-    ``method="rk4"`` is forced) classical Runge-Kutta integrates
-    ``dV/dt = A V + V A.T + D`` with step at most ``1e-3 / ||A||``.
+    Each gap ``h`` between samples (the first from ``t = 0``) is one exact
+    step ``mean <- Phi mean``, ``V <- Phi V Phi.T + Q`` with
+    ``Phi = exp(A h)`` and ``Q = int_0^h exp(A s) D exp(A.T s) ds``. Both
+    come from one Van Loan block exponential, so the propagation is exact
+    for unstable drift too.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D sequence")
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonnegative and ascending")
-    if method not in ("auto", "closed", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
     n2 = system.A.shape[0]
     if v0.V.shape != (n2, n2):
         raise DimensionError("initial covariance size does not match the system")
-    mean0 = np.zeros(n2) if mean0 is None else np.asarray(mean0, dtype=float)
-    if mean0.shape != (n2,):
+    mean = np.zeros(n2) if mean0 is None else np.asarray(mean0, dtype=float)
+    if mean.shape != (n2,):
         raise DimensionError(f"initial mean must have length {n2}")
 
-    hurwitz = is_hurwitz(system.A)
-    if method == "closed" and not hurwitz:
-        raise NotHurwitzError("closed-form propagation requires a Hurwitz drift")
-    use_closed = method == "closed" or (method == "auto" and hurwitz)
-
-    propagators = [expm(system.A, t) for t in times]
-    means = np.stack([e @ mean0 for e in propagators])
-    if use_closed:
-        v_inf = solve_lyapunov(system.A, system.D)
-        covs = []
-        for e in propagators:
-            v = e @ (v0.V - v_inf) @ e.T + v_inf
-            covs.append(0.5 * (v + v.T))
-    else:
-        covs = _rk4_covariances(system, v0.V, times)
-    return Trajectory(times=times, means=means, covariances=np.stack(covs))
+    steps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    v = v0.V
+    means, covs = [], []
+    for h in np.diff(times, prepend=0.0):
+        if h not in steps:
+            steps[h] = _van_loan_step(system, h)
+        phi, q = steps[h]
+        mean = phi @ mean
+        v = phi @ v @ phi.T + q
+        v = 0.5 * (v + v.T)
+        means.append(mean)
+        covs.append(v)
+    return Trajectory(times=times, means=np.stack(means), covariances=np.stack(covs))
 
 
-def _rk4_covariances(system: MomentSystem, v0: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+def _van_loan_step(system: MomentSystem, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(exp(A h), int_0^h exp(A s) D exp(A.T s) ds)`` by scaling and doubling.
+
+    The block exponential holds ``exp(-A h)``, which overflows over long
+    spans, so it is taken at ``h / 2**k`` with ``||A h / 2**k|| <= 1/2``
+    and the pair is doubled ``k`` times.
+    """
     a, d = system.A, system.D
-    norm_a = float(np.linalg.norm(a, 2))
-    max_step = 1e-3 / norm_a if norm_a > 0 else np.inf
-
-    def rhs(v):
-        return a @ v + v @ a.T + d
-
-    covs = []
-    v = v0.copy()
-    t_now = 0.0
-    for t in times:
-        span = t - t_now
-        steps = max(1, int(np.ceil(span / max_step))) if span > 0 else 0
-        h = span / steps if steps else 0.0
-        for _ in range(steps):
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * h * k1)
-            k3 = rhs(v + 0.5 * h * k2)
-            k4 = rhs(v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            v = 0.5 * (v + v.T)
-        t_now = t
-        covs.append(v.copy())
-    return covs
+    n2 = a.shape[0]
+    # frexp's exponent is the least k with 2 ||A|| h < 2**k
+    k = max(0, math.frexp(2.0 * np.linalg.norm(a, 1) * h)[1])
+    block = np.block([[-a, d], [np.zeros_like(a), a.T]])
+    e = expm(block, h / 2.0 ** k)
+    phi = e[n2:, n2:].T
+    q = phi @ e[:n2, n2:]
+    for _ in range(k):
+        q = phi @ q @ phi.T + q
+        phi = phi @ phi
+    return phi, q
 
 
 @dataclass(frozen=True)
@@ -194,13 +185,14 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
         c_all = np.vstack([c_all, np.atleast_2d(np.asarray(extra_rows, dtype=complex))])
     system = build_moment_system(realization.G, c_all)
     constraints = verify_constraints(realization)
-    if not is_hurwitz(system.A):
+    try:
+        v_inf = steady_state(system)
+    except NotHurwitzError:
         return GenerationReport(
             hurwitz=False, lyapunov_residual=float("inf"), max_error=float("inf"),
             steady_purity=float("nan"), constraints=constraints, tolerance=tol,
             steady_covariance=None,
         )
-    v_inf = steady_state(system)
     residual = float(np.linalg.norm(system.A @ v_inf.V + v_inf.V @ system.A.T + system.D))
     return GenerationReport(
         hurwitz=True,

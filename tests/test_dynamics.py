@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from gsynth import (
@@ -134,7 +135,8 @@ def test_evolve_mean_decays():
     assert np.abs(traj.means[-1]).max() < 1e-9
 
 
-def test_evolve_closed_matches_rk4():
+def test_evolve_matches_fixed_point_form():
+    # independent oracle: V(t) = e^{At} (V0 - Vinf) e^{A.T t} + Vinf from scipy
     rng = np.random.default_rng(43)
     tested = 0
     while tested < 3:
@@ -146,11 +148,14 @@ def test_evolve_closed_matches_rk4():
         if not is_hurwitz(ms.A):
             continue
         tested += 1
-        times = [0.0, 0.4, 1.0]
-        closed = evolve(ms, states.vacuum(n), times, method="closed")
-        stepped = evolve(ms, states.vacuum(n), times, method="rk4")
-        for vc, vr in zip(closed.covariances, stepped.covariances):
-            assert np.abs(vc - vr).max() < 1e-6
+        v0 = states.vacuum(n)
+        v_inf = scipy.linalg.solve_continuous_lyapunov(ms.A, -ms.D)
+        times = [0.0, 0.4, 1.0, 7.5]
+        traj = evolve(ms, v0, times)
+        for t, v in zip(times, traj.covariances):
+            e = scipy.linalg.expm(ms.A * t)
+            expected = e @ (v0.V - v_inf) @ e.T + v_inf
+            assert np.abs(v - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
 
 
 def test_evolve_trajectory_stays_physical():
@@ -163,15 +168,28 @@ def test_evolve_trajectory_stays_physical():
         assert np.abs(v - v.T).max() == 0.0
 
 
-def test_evolve_rk4_handles_unstable():
-    # no steady state: pure heating, covariance grows linearly
-    c = np.array([[1.0, -1j]]) / np.sqrt(2.0)  # raising only
+def test_evolve_exact_when_unstable():
+    # no steady state: raising only gives A = D = I/2, so V(t) = (e^t - 1/2) I
+    c = np.array([[1.0, -1j]]) / np.sqrt(2.0)
     ms = build_moment_system(np.zeros((2, 2)), c)
-    assert not is_hurwitz(ms.A)
-    traj = evolve(ms, states.vacuum(1), [0.0, 1.0, 2.0])
-    assert traj.covariances[-1][0, 0] > traj.covariances[0][0, 0]
+    assert_allclose(ms.A, 0.5 * np.eye(2), atol=1e-15)
+    assert_allclose(ms.D, 0.5 * np.eye(2), atol=1e-15)
     with pytest.raises(NotHurwitzError):
-        evolve(ms, states.vacuum(1), [0.0, 1.0], method="closed")
+        steady_state(ms)
+    times = [0.0, 1.0, 2.0, 6.0]
+    traj = evolve(ms, states.vacuum(1), times)
+    for t, v in zip(times, traj.covariances):
+        assert_allclose(v, (np.exp(t) - 0.5) * np.eye(2), rtol=1e-12, atol=1e-15)
+
+
+def test_evolve_one_long_step_reaches_steady_state():
+    # a single 1e4 step overflows unless the block exponential is scaled
+    real = tms_realization(0.7)
+    ms = build_moment_system(real.G, real.C)
+    traj = evolve(ms, states.vacuum(2), [0.0, 1e4])
+    assert np.all(np.isfinite(traj.covariances))
+    assert np.all(np.isfinite(traj.means))
+    assert np.abs(traj.covariances[-1] - steady_state(ms).V).max() <= 1e-10
 
 
 def test_evolve_validates_times():
