@@ -52,15 +52,22 @@ EXIT_IMPURE = 3
 EXIT_UNSTABLE = 4
 
 
+def _nonnegative(value: float, name: str) -> float:
+    if not (np.isfinite(value) and value >= 0.0):
+        raise MatrixFileError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
 def _resolve_tol(args) -> float:
     if args.tol is not None:
-        return args.tol
+        return _nonnegative(args.tol, "--tol")
     env = os.environ.get("GSYNTH_TOL")
     if env:
         try:
-            return float(env)
+            value = float(env)
         except ValueError:
             raise MatrixFileError(f"GSYNTH_TOL is not a number: {env!r}")
+        return _nonnegative(value, "GSYNTH_TOL")
     return DEFAULT_TOL
 
 
@@ -188,8 +195,7 @@ def cmd_synthesize(args) -> int:
         _emit(report, args.format)
         return EXIT_INFEASIBLE
 
-    rng = np.random.default_rng(args.seed)
-    realization = synthesize(graph, tol, rng)
+    realization = synthesize(graph, tol)
     check = verify_generation(realization, graph_to_covariance(graph))
     out = Path(args.output) if args.output else Path(args.state).with_suffix(".realization.json")
     save_realization(out, realization)
@@ -220,9 +226,10 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _resolve_tol(args)
+    target_tol = _nonnegative(args.target_tol, "--target-tol")
     realization, noise_rows = load_realization(args.realization)
     target = _as_covariance(load_state_file(args.target))
-    check = verify_generation(realization, target, tol=args.target_tol, extra_rows=noise_rows)
+    check = verify_generation(realization, target, tol=target_tol, extra_rows=noise_rows)
     constraints = verify_constraints(realization, tol)
     report = {
         "command": "verify",
@@ -252,6 +259,9 @@ def _purity_from_matrix(v: np.ndarray) -> float:
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 1:
+        raise MatrixFileError(f"--steps must be at least 1, got {args.steps}")
+    t_max = _nonnegative(args.t_max, "--t-max")
     realization, noise_rows = load_realization(args.realization)
     c_all = realization.C
     if len(noise_rows):
@@ -269,7 +279,7 @@ def cmd_simulate(args) -> int:
             )
     else:
         v0 = CovarianceMatrix.vacuum(realization.n_modes)
-    times = np.linspace(0.0, args.t_max, args.steps)
+    times = np.linspace(0.0, t_max, args.steps)
     trajectory = evolve(system, v0, times)
 
     n2 = 2 * realization.n_modes
@@ -315,11 +325,13 @@ def _metrics_stanza(metrics) -> dict | None:
 
 
 def cmd_thermal(args) -> int:
+    gamma = _nonnegative(args.gamma, "--gamma")
+    nbar = _nonnegative(args.nbar, "--nbar")
     realization, _ = load_realization(args.realization)
     modes = _parse_modes(args.modes, realization.n_modes)
     channels = []
     for m in modes:
-        channels.extend(bath_channels(m, args.gamma, args.nbar))
+        channels.extend(bath_channels(m, gamma, nbar))
     if args.target:
         target = _as_covariance(load_state_file(args.target))
     else:
@@ -334,8 +346,8 @@ def cmd_thermal(args) -> int:
     report = {
         "command": "thermal",
         "inputs": _input_stanza(inputs),
-        "gamma": args.gamma,
-        "nbar": args.nbar,
+        "gamma": gamma,
+        "nbar": nbar,
         "modes": modes,
         "with_coupling": _metrics_stanza(report_data.with_coupling),
         "without_coupling": _metrics_stanza(report_data.without_coupling),
@@ -347,14 +359,11 @@ def cmd_thermal(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, seed: bool = False) -> None:
+def _add_common(sub) -> None:
     sub.add_argument("--tol", type=float, default=None,
                      help="structural tolerance (default: GSYNTH_TOL env var or 1e-9)")
     sub.add_argument("--format", choices=("json", "csv"), default="json",
                      help="report format (default json)")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0,
-                         help="seed for the cyclic-vector search (default 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -380,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="covariance or graph file (pure state)")
     p.add_argument("-o", "--output", default=None,
                    help="realization output path (default: <state>.realization.json)")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = commands.add_parser("verify", help="check a realization against a target state")

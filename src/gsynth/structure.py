@@ -122,6 +122,17 @@ def xi_membership(b, tol: float = DEFAULT_TOL) -> bool:
     return max_abs(m @ m + np.eye(2)) <= tol * max(1.0, scale ** 2)
 
 
+def _eig_clusters(a: np.ndarray, tol: float):
+    """Unit eigenvectors of ``a`` and one eigenvalue per cluster within ``tol``."""
+    w, vecs = eig(a)
+    atol = tol * max(1.0, max_abs(w))
+    reps: list[complex] = []
+    for lam in w:
+        if all(abs(lam - r) > atol for r in reps):
+            reps.append(complex(lam))
+    return vecs, reps
+
+
 def non_derogatory(a, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``rank(a - w I) == n - 1`` for every distinct eigenvalue ``w``.
 
@@ -131,13 +142,8 @@ def non_derogatory(a, tol: float = DEFAULT_TOL) -> bool:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {a.shape}")
     n = a.shape[0]
-    w, _ = eig(a)
-    atol = tol * max(1.0, max_abs(w))
-    representatives: list[complex] = []
-    for lam in w:
-        if all(abs(lam - r) > atol for r in representatives):
-            representatives.append(complex(lam))
-    return all(rank_tol(a - lam * np.eye(n), tol) == n - 1 for lam in representatives)
+    _, reps = _eig_clusters(a, tol)
+    return all(rank_tol(a - lam * np.eye(n), tol) == n - 1 for lam in reps)
 
 
 def _krylov(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -179,28 +185,21 @@ def is_controllable(q, p, tol: float = DEFAULT_TOL) -> bool:
     n = q.shape[0]
     if p.shape[0] != n:
         raise DimensionError(f"seed must have {n} rows, got shape {p.shape}")
-    w, _ = eig(q)
-    atol = tol * max(1.0, max_abs(w))
-    representatives: list[complex] = []
-    for lam in w:
-        if all(abs(lam - r) > atol for r in representatives):
-            representatives.append(complex(lam))
-    eye = np.eye(n)
-    return all(
-        rank_tol(np.hstack([q - lam * eye, p]), tol) == n for lam in representatives
-    )
+    _, reps = _eig_clusters(q, tol)
+    return all(rank_tol(np.hstack([q - lam * np.eye(n), p]), tol) == n for lam in reps)
 
 
-def find_cyclic_vector(q, tol: float = DEFAULT_TOL, rng: np.random.Generator | None = None):
+def find_cyclic_vector(q, tol: float = DEFAULT_TOL):
     """A unit vector ``p`` with ``rank([p, q p, ..., q^(n-1) p]) = n``.
 
-    When the eigenvalues of ``q`` are pairwise distinct the all-ones
-    combination of the eigenbasis is cyclic and is used directly. With
-    repeated eigenvalues any vector whose Krylov basis has full rank yields
-    a similarity of ``q`` to companion form with that vector as first
-    basis column, so a deterministic seeded search over candidate seeds is
-    performed. Controllability of the returned vector is always verified
-    (via :func:`is_controllable`) before returning.
+    A general search for any square ``q``; ``synthesize`` needs none, as
+    its certificate makes the spectrum distinct. When the eigenvalues of
+    ``q`` are pairwise distinct the all-ones combination of the eigenbasis
+    is tried first. With repeated eigenvalues any vector whose Krylov basis
+    has full rank yields a similarity of ``q`` to companion form with that
+    vector as first basis column, so a fixed-seed search over candidate
+    seeds follows. Controllability of the returned vector is always
+    verified (via :func:`is_controllable`) before returning.
 
     Raises
     ------
@@ -213,15 +212,13 @@ def find_cyclic_vector(q, tol: float = DEFAULT_TOL, rng: np.random.Generator | N
     if not non_derogatory(q, tol):
         raise DerogatoryMatrixError("matrix is derogatory; no cyclic vector exists")
     n = q.shape[0]
-    w, vecs = eig(q)
-    atol = tol * max(1.0, max_abs(w))
-    gaps_ok = all(abs(w[i] - w[j]) > atol for i in range(n) for j in range(i + 1, n))
+    vecs, reps = _eig_clusters(q, tol)
 
     def candidates():
-        if gaps_ok:
+        if len(reps) == n:
             yield vecs @ np.ones(n)
         yield np.ones(n, dtype=complex)
-        gen = rng if rng is not None else np.random.default_rng(0)
+        gen = np.random.default_rng(0)
         for _ in range(64):
             yield gen.normal(size=n) + 1j * gen.normal(size=n)
 

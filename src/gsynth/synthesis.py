@@ -2,11 +2,12 @@
 
 Given the graph matrix of a feasible target state, the synthesis chain
 assigns one oscillator frequency per mode (``build_R``), derives the
-antisymmetric correction ``Gamma = X R Y`` (``build_Gamma``), picks a
-cyclic vector for the coupling (``find_cyclic_vector``) and assembles the
-Hamiltonian matrix ``G`` and the coupling row ``C``. The result drives the
-target state as the unique steady state of the associated moment dynamics,
-using a single dissipative channel and no oscillator-oscillator couplings.
+antisymmetric correction ``Gamma = X R Y`` (``build_Gamma``), takes the
+coupling seed from the eigenvectors of ``Q = -R Z`` (no search: the
+certificate makes their eigenvalues distinct) and assembles the Hamiltonian
+matrix ``G`` and the coupling row ``C``. The result drives the target state
+as the unique steady state of the associated moment dynamics, using a
+single dissipative channel and no oscillator-oscillator couplings.
 """
 
 from __future__ import annotations
@@ -23,16 +24,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .gaussian import GraphMatrix
-from .numerics import DEFAULT_TOL, max_abs
-from .structure import (
-    LAMBDA,
-    PI,
-    XI_PHI,
-    BlockDecomposition,
-    decompose,
-    find_cyclic_vector,
-    is_controllable,
-)
+from .numerics import DEFAULT_TOL, eig, max_abs
+from .structure import LAMBDA, PI, BlockDecomposition, decompose, is_controllable
 
 
 @dataclass(frozen=True)
@@ -106,9 +99,9 @@ def build_R(dec: BlockDecomposition) -> NDArray[np.float64]:
     """Diagonal frequency matrix for a feasible decomposition.
 
     Blockwise assignment in certificate order: a lone scalar gets 0, a
-    ``pi`` block gets ``diag(0, 1)``, a leading coupled pair gets
-    ``diag(1, -1)`` and the j-th block thereafter gets ``diag(j, -j)``,
-    pulled back through the certificate permutation to mode coordinates.
+    ``pi`` block gets ``diag(0, 1)`` and a coupled pair in the j-th block
+    (counting from 1) gets ``diag(j, -j)``, pulled back through the
+    certificate permutation to mode coordinates.
     The result satisfies the consistency identity ``-Z R Z = R``.
     """
     if not dec.feasible:
@@ -119,8 +112,6 @@ def build_R(dec: BlockDecomposition) -> NDArray[np.float64]:
             diag_entries.append(0.0)
         elif blk.tag == PI:
             diag_entries.extend([0.0, 1.0])
-        elif index == 1:
-            diag_entries.extend([1.0, -1.0])
         else:
             diag_entries.extend([float(index), -float(index)])
     r_tilde = np.diag(diag_entries)
@@ -133,8 +124,7 @@ def build_R(dec: BlockDecomposition) -> NDArray[np.float64]:
         raise InvalidRError("frequency assignment violates the block consistency identity")
     # Pull back through the permutation: mode image[s] carries slot s.
     r = np.zeros(dec.n_modes)
-    for slot, mode in enumerate(dec.permutation.image):
-        r[mode] = diag_entries[slot]
+    r[list(dec.permutation.image)] = diag_entries
     return np.diag(r)
 
 
@@ -195,16 +185,15 @@ def assemble_realization(graph: GraphMatrix, r, gamma, p) -> Realization:
                        P=p, G=g, C=c, graph=graph)
 
 
-def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL,
-               rng: np.random.Generator | None = None) -> Realization:
+def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> Realization:
     """Design a single-channel passive-diagonal system preparing ``graph``.
 
     Runs the full chain: feasibility decomposition, frequency assignment,
-    ``Gamma = X R Y``, a unit-norm cyclic vector for ``Q = -R Z`` (any
-    nonzero scaling preserves the rank condition, so the normalization is
-    only for reproducible output) and the final ``(G, C)`` pair. The
-    returned Hamiltonian matrix is stored in its exact reduced form
-    ``diag(R, R)`` after verifying the general construction collapses to it.
+    ``Gamma = X R Y``, the coupling seed (the unit-norm sum of the unit
+    eigenvectors of ``Q = -R Z``, cyclic because the certificate makes the
+    eigenvalues distinct) and the final ``(G, C)`` pair. The returned
+    Hamiltonian matrix is stored in its exact reduced form ``diag(R, R)``
+    after verifying the general construction collapses to it.
 
     Raises
     ------
@@ -216,8 +205,10 @@ def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL,
         raise InfeasibleStateError(dec.certificate)
     r = build_R(dec)
     gamma = build_Gamma(graph, r, tol)
-    q = -r @ graph.Z
-    p = find_cyclic_vector(q, tol, rng).reshape(-1, 1)
+    # Certificate spectrum of Q: 0 or {0, -i}, then +-k*i at block k; distinct, so p is cyclic.
+    _, vecs = eig(-r @ graph.Z)
+    p = vecs @ np.ones(graph.n_modes)
+    p = (p / np.linalg.norm(p)).reshape(-1, 1)
     realization = assemble_realization(graph, r, gamma, p)
     g_exact = np.block([[r, np.zeros_like(r)], [np.zeros_like(r), r]])
     if max_abs(realization.G - g_exact) > tol * max(1.0, max_abs(r)):

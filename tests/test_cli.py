@@ -251,6 +251,57 @@ def test_tol_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert code == 0  # the flag wins over the broken environment variable
 
 
+@pytest.mark.parametrize("command, tol_flag, env, source", [
+    ("synthesize", "-1", None, "--tol"),
+    ("synthesize", "nan", None, "--tol"),
+    ("feasible", None, "-1", "GSYNTH_TOL"),
+    ("analyze", None, "inf", "GSYNTH_TOL"),
+])
+def test_invalid_tolerance_is_input_error(tmp_path, capsys, monkeypatch,
+                                          command, tol_flag, env, source):
+    # a pure state must not come back "not pure" because the tolerance is unusable
+    tms = write_tms(tmp_path)
+    if env is None:
+        monkeypatch.delenv("GSYNTH_TOL", raising=False)
+    else:
+        monkeypatch.setenv("GSYNTH_TOL", env)
+    argv = [command, str(tms)] + (["--tol", tol_flag] if tol_flag else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert source in err
+
+
+@pytest.mark.parametrize("command, options, flag", [
+    ("simulate", ("--steps", "0"), "--steps"),
+    ("simulate", ("--steps", "-3"), "--steps"),
+    ("simulate", ("--t-max", "-5"), "--t-max"),
+    ("simulate", ("--t-max", "inf"), "--t-max"),
+    ("simulate", ("--t-max", "nan"), "--t-max"),
+    ("thermal", ("--gamma", "-0.1", "--nbar", "1"), "--gamma"),
+    ("thermal", ("--gamma", "0.1", "--nbar", "-1"), "--nbar"),
+    ("verify", ("--target-tol", "-1"), "--target-tol"),
+])
+def test_invalid_numeric_option_is_input_error(tmp_path, capsys, command, options, flag):
+    tms = write_tms(tmp_path)
+    design = tmp_path / "design.json"
+    save_realization(design, tms_realization(0.7))
+    argv = [command, str(design)] + ([str(tms)] if command == "verify" else []) + list(options)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
+def test_synthesize_has_no_seed_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synthesize", str(write_tms(tmp_path)), "--seed", "3"])
+    assert excinfo.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_feasibility_is_tolerance_sensitive(tmp_path, capsys, monkeypatch):
     # a coupling of 1e-6 is an edge at the default threshold but a
     # structural zero at 1e-4; the loosened reading is a valid scalar pair

@@ -277,15 +277,63 @@ def test_synthesize_random_pi_families():
         assert np.abs(v.V - graph_to_covariance(graph).V).max() < 1e-8
 
 
-def test_synthesize_seed_changes_only_the_seed_vector():
-    graph = pair_graph()
-    base = synthesize(graph, rng=np.random.default_rng(0))
-    other = synthesize(graph, rng=np.random.default_rng(99))
-    # both designs prepare the same state regardless of the search seed
-    for real in (base, other):
-        v = steady_state(build_moment_system(real.G, real.C))
-        assert np.abs(v.V - graph_to_covariance(graph).V).max() < 1e-10
-    assert_allclose(base.R, other.R, atol=0)
+def test_synthesize_seed_is_unit_and_cyclic():
+    # the seed is checked with the general Hautus test, which synthesize no
+    # longer calls, on lambda, pi, coupled-pair and merged i-scalar blocks
+    from gsynth import BlockClass, Permutation, assemble_graph, is_controllable
+    from gsynth.structure import LAMBDA, PI, XI_PHI
+    from conftest import random_lambda_scalar, random_phi_block
+
+    rng = np.random.default_rng(43)
+    graphs = [tms_graph(4.5)]
+    for k in range(24):
+        head, i_pairs = k % 3, k % 2
+        if k % 4 == 0:
+            n_pairs = (32 - head - 2 * i_pairs) // 2
+        else:
+            n_pairs = int(rng.integers(1, 12))
+        blocks = [BlockClass(XI_PHI, random_phi_block(rng)) for _ in range(n_pairs)]
+        blocks += [BlockClass(XI_PHI, 1j * np.eye(2))] * i_pairs
+        if head == 1:
+            blocks.append(BlockClass(LAMBDA, random_lambda_scalar(rng)))
+        elif head == 2:
+            blocks.append(BlockClass(PI, np.diag([random_lambda_scalar(rng)[0, 0], 1j])))
+        n = sum(b.size for b in blocks)
+        graphs.append(assemble_graph(blocks, Permutation(tuple(int(j) for j in rng.permutation(n)))))
+    assert max(g.n_modes for g in graphs) == 32
+    for graph in graphs:
+        real = synthesize(graph)
+        assert np.linalg.norm(real.P) == pytest.approx(1.0, abs=1e-12)
+        assert is_controllable(-real.R @ graph.Z, real.P)
+    assert_allclose(synthesize(tms_graph(4.5)).P.ravel(), np.ones(2) / np.sqrt(2), atol=1e-12)
+
+
+def test_synthesize_does_no_search(monkeypatch):
+    import gsynth.numerics
+    import gsynth.structure
+    import gsynth.synthesis
+
+    graph = eight_mode_graph()
+    expected = synthesize(graph)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("synthesize must not search or rank-test")
+
+    for module in (gsynth.numerics, gsynth.structure, gsynth.synthesis):
+        for name in ("rank_tol", "non_derogatory", "is_controllable", "find_cyclic_vector"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    calls = []
+
+    def counted_eig(a):
+        calls.append(a)
+        return eig(a)
+
+    monkeypatch.setattr(gsynth.synthesis, "eig", counted_eig)
+    real = synthesize(graph)
+    assert len(calls) == 1
+    for field in ("R", "Gamma", "P", "G", "C"):
+        assert np.array_equal(getattr(real, field), getattr(expected, field))
 
 
 def test_synthesize_roundtrip_from_covariance():
