@@ -3,8 +3,8 @@
 Commands: ``analyze``, ``feasible``, ``synthesize``, ``verify``,
 ``simulate``, ``thermal``. Reports are JSON (or flat CSV key/value rows
 with ``--format csv``); trajectories are always CSV. Exit codes are
-stable: 0 success, 1 I/O or parse error, 2 infeasible target, 3 impure
-input, 4 unstable system. ``--tol`` overrides the ``GSYNTH_TOL``
+stable: 0 success, 1 I/O, parse or usage error, 2 infeasible target,
+3 impure input, 4 unstable system. ``--tol`` overrides the ``GSYNTH_TOL``
 environment variable, which overrides the built-in default.
 """
 
@@ -359,6 +359,14 @@ def cmd_thermal(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, not argparse's 2 (the infeasible code)."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+
+
 def _add_common(sub) -> None:
     sub.add_argument("--tol", type=float, default=None,
                      help="structural tolerance (default: GSYNTH_TOL env var or 1e-9)")
@@ -367,7 +375,7 @@ def _add_common(sub) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsynth",
         description="Decide, synthesize and verify dissipative preparations of pure "
                     "Gaussian states with a diagonal passive Hamiltonian and a single "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, GsynthError, NotHurwitzError
 from .gaussian import CovarianceMatrix, purity, symplectic_form
-from .numerics import expm, max_abs, solve_lyapunov
+from .numerics import expm, max_abs, solve_lyapunov, symmetrized, threshold
 from .synthesis import Realization, ConstraintReport, verify_constraints
 
 #: Hard bound on the imaginary residue tolerated when forming the diffusion matrix.
@@ -26,27 +26,23 @@ DIFFUSION_IMAG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Drift ``A``, diffusion ``D`` and the coupling rows that produced them."""
+    """Drift ``A`` and diffusion ``D`` of the moment equations."""
 
     A: np.ndarray
     D: np.ndarray
-    C_all: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.A, dtype=float)
         d = np.asarray(self.D, dtype=float)
-        c = np.atleast_2d(np.asarray(self.C_all, dtype=complex))
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
             raise DimensionError(f"drift matrix must be 2N x 2N, got {a.shape}")
-        if d.shape != a.shape or c.shape[1] != a.shape[0]:
-            raise DimensionError("diffusion and coupling shapes must match the drift")
-        if max_abs(d - d.T) > 1e-12 * max(1.0, max_abs(d)):
-            raise ValueError("diffusion matrix must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (d + d.T)).min() < -1e-10:
+        if d.shape != a.shape:
+            raise DimensionError("diffusion shape must match the drift")
+        d = symmetrized(d, "diffusion matrix", tol=1e-12)
+        if np.linalg.eigvalsh(d).min() < -1e-10:
             raise ValueError("diffusion matrix must be positive semidefinite")
         object.__setattr__(self, "A", a)
-        object.__setattr__(self, "D", 0.5 * (d + d.T))
-        object.__setattr__(self, "C_all", c)
+        object.__setattr__(self, "D", d)
 
     @property
     def n_modes(self) -> int:
@@ -71,11 +67,11 @@ def build_moment_system(g, c) -> MomentSystem:
     a = sig @ (g + (c.conj().T @ c).imag)
     b = 1j * sig @ np.hstack([-c.conj().T, c.T])
     d = 0.5 * (b @ b.conj().T)
-    if max_abs(d.imag) > DIFFUSION_IMAG_TOL * max(1.0, max_abs(d.real)):
+    if max_abs(d.imag) > threshold(max_abs(d.real), DIFFUSION_IMAG_TOL):
         raise GsynthError(
             f"diffusion matrix has imaginary residue {max_abs(d.imag):.3e}; coupling is malformed"
         )
-    return MomentSystem(A=a, D=d.real, C_all=c)
+    return MomentSystem(A=a, D=d.real)
 
 
 def steady_state(system: MomentSystem) -> CovarianceMatrix:

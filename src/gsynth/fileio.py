@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GsynthError, MatrixFileError
 from .gaussian import CovarianceMatrix, GraphMatrix
-from .numerics import DEFAULT_TOL, max_abs
+from .numerics import max_abs, threshold
 from .synthesis import Realization
 
 FORMAT_VERSION = 1
@@ -110,8 +110,6 @@ def load_state_file(path) -> CovarianceMatrix | GraphMatrix:
             )
         if ordering == "interleaved":
             matrix = _from_interleaved(matrix)
-        if max_abs(matrix - matrix.T) > DEFAULT_TOL * max(1.0, max_abs(matrix)):
-            raise MatrixFileError(f"{path}: covariance matrix is not symmetric")
         try:
             return CovarianceMatrix(matrix)
         except (GsynthError, ValueError) as exc:
@@ -124,7 +122,7 @@ def load_state_file(path) -> CovarianceMatrix | GraphMatrix:
             raise MatrixFileError(
                 f"{path}: graph matrix for {modes} modes must be {modes}x{modes}, got {z.shape}"
             )
-        if max_abs(z - z.T) > DEFAULT_TOL * max(1.0, max_abs(z)):
+        if max_abs(z - z.T) > threshold(max_abs(z)):
             raise MatrixFileError(f"{path}: graph matrix is not symmetric")
         try:
             return GraphMatrix(z.real, z.imag)

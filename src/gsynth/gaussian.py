@@ -23,7 +23,7 @@ from .errors import (
     NotPureStateError,
     UnsupportedBipartitionError,
 )
-from .numerics import DEFAULT_TOL, max_abs
+from .numerics import DEFAULT_TOL, symmetrized, threshold
 
 #: Absolute eigenvalue slack allowed when checking physicality.
 PHYSICALITY_TOL = 1e-9
@@ -39,12 +39,6 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
     zero = np.zeros((n_modes, n_modes))
     eye = np.eye(n_modes)
     return np.block([[zero, eye], [-eye, zero]])
-
-
-def _check_symmetric(m: np.ndarray, name: str, tol: float = DEFAULT_TOL) -> np.ndarray:
-    if max_abs(m - m.T) > tol * max(1.0, max_abs(m)):
-        raise ValueError(f"{name} must be symmetric")
-    return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ class CovarianceMatrix:
         if not np.all(np.isfinite(v)):
             raise InvalidCovarianceError("covariance matrix has non-finite entries")
         try:
-            v = _check_symmetric(v, "covariance matrix")
+            v = symmetrized(v, "covariance matrix")
         except ValueError as exc:
             raise InvalidCovarianceError(str(exc)) from exc
         n = v.shape[0] // 2
@@ -109,8 +103,8 @@ class GraphMatrix:
             )
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("graph matrix has non-finite entries")
-        x = _check_symmetric(x, "real part of graph matrix")
-        y = _check_symmetric(y, "imaginary part of graph matrix")
+        x = symmetrized(x, "real part of graph matrix")
+        y = symmetrized(y, "imaginary part of graph matrix")
         if np.linalg.eigvalsh(y).min() <= POSDEF_TOL:
             raise ValueError("imaginary part of graph matrix must be positive definite")
         object.__setattr__(self, "X", x)
@@ -174,17 +168,19 @@ def purity(cov: CovarianceMatrix) -> float:
     return 1.0 / (2.0 ** cov.n_modes * np.sqrt(det))
 
 
-def symplectic_eigenvalues(v, pair_tol: float = DEFAULT_TOL) -> NDArray[np.float64]:
+def symplectic_eigenvalues(v) -> NDArray[np.float64]:
     """The N symplectic eigenvalues of a 2N x 2N covariance-like matrix.
 
     Computed as the absolute eigenvalues of ``i Sigma v``, which occur in
     equal pairs; pairs are merged by sorting and averaging adjacent values.
+    Adjacent values further apart than ``threshold`` at the largest modulus
+    do not pair, and the matrix is rejected.
     """
     v = np.asarray(v, dtype=float)
     n = v.shape[0] // 2
     moduli = np.sort(np.abs(np.linalg.eigvals(1j * symplectic_form(n) @ v)))
     gaps = moduli[1::2] - moduli[0::2]
-    if gaps.size and gaps.max() > pair_tol * max(1.0, float(moduli[-1])):
+    if gaps.size and gaps.max() > threshold(float(moduli[-1])):
         raise InvalidCovarianceError(
             "eigenvalues do not pair into a symplectic spectrum; matrix is not covariance-like"
         )

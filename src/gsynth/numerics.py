@@ -1,9 +1,19 @@
-"""Dense real/complex matrix substrate.
+"""Dense real/complex matrix substrate and the tolerance policy.
 
 Everything here targets small dense problems (matrix dimension at most 64):
 eigendecomposition, toleranced rank, a guarded Bartels-Stewart Lyapunov
 solve, matrix exponentials and permutation bookkeeping. All functions are
 pure and safe to call concurrently.
+
+Tolerance policy: a residual ``err`` of a structural test on data of scale
+``s`` (the max-norm of the entries it came from) counts as zero when
+``err <= tol * max(1, s)``, relative above unit scale and absolute below
+it. :func:`threshold` is the one place this rule is written, and
+:func:`symmetrized` applies it to every check-then-symmetrize of an input
+matrix. Each caller of :func:`threshold` keeps its own
+comparison with the returned threshold (``>`` to reject, ``<=`` to
+accept), so a NaN residual fails every test as it always has. The tests
+that do not follow the rule yet are listed in :func:`threshold`.
 """
 
 from __future__ import annotations
@@ -29,6 +39,42 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def threshold(scale, tol: float = DEFAULT_TOL) -> float:
+    """The zero threshold ``tol * max(1, scale)`` for data of max-norm ``scale``.
+
+    Every scaled structural test compares its residual with this value.
+    Exceptions, which keep their own arithmetic for now:
+
+    * ``structure.decompose``'s structural zeros, ``|Z_jk| <= tol * max|Z|``
+      (no floor of 1);
+    * ``structure.decompose``'s scalar test ``|z - i| > tol`` (absolute);
+    * ``CovarianceMatrix.is_pure``, ``|det(V) 4**N - 1| <= tol`` (absolute);
+    * the fixed bounds ``HURWITZ_TOL``, ``gaussian.POSDEF_TOL`` and
+      ``gaussian.PHYSICALITY_TOL`` (absolute);
+    * ``dynamics.MomentSystem``'s positive-semidefinite floor ``-1e-10``
+      (absolute);
+    * the Lyapunov residual bound in :func:`solve_lyapunov` (Frobenius
+      norms, relative with no floor);
+    * ``dynamics.verify_generation``'s target test, ``max|V - V_target|
+      <= tol`` (absolute).
+    """
+    return tol * max(1.0, scale)
+
+
+def symmetrized(m, name: str, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``(m + m.T) / 2``, after checking ``m`` is symmetric under :func:`threshold`.
+
+    Raises
+    ------
+    ValueError
+        ``"<name> must be symmetric"`` when ``max|m - m.T|`` exceeds the
+        threshold at scale ``max|m|``.
+    """
+    if max_abs(m - m.T) > threshold(max_abs(m), tol):
+        raise ValueError(f"{name} must be symmetric")
+    return 0.5 * (m + m.T)
+
+
 def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
@@ -51,7 +97,7 @@ def eig(a) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank: number of singular values above ``tol * max(1, s_max)``.
+    """Numerical rank: number of singular values above ``threshold(s_max, tol)``.
 
     The threshold floor of 1 keeps the rank of small-norm matrices from
     being inflated by noise-level singular values.
@@ -62,7 +108,7 @@ def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     if m.size == 0:
         return 0
     s = scipy.linalg.svdvals(m)
-    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+    return int(np.count_nonzero(s > threshold(float(s[0]), tol)))
 
 
 def spectral_abscissa(a) -> float:
@@ -79,7 +125,8 @@ def is_hurwitz(a) -> bool:
 def solve_lyapunov(a, d) -> NDArray[np.float64]:
     """Solve ``a @ v + v @ a.T + d = 0`` for symmetric ``v``.
 
-    Uses scipy's Schur-based Bartels-Stewart solver. The output is
+    Uses scipy's Schur-based Bartels-Stewart solver. The noise matrix is
+    checked and symmetrized by :func:`symmetrized`, the output is
     symmetrized before being returned, and a relative residual check
     rejects an ill-conditioned solution.
 
@@ -93,8 +140,7 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     d = np.asarray(d, dtype=float)
     if d.shape != a.shape:
         raise DimensionError(f"noise matrix shape {d.shape} does not match {a.shape}")
-    if max_abs(d - d.T) > DEFAULT_TOL * max(1.0, max_abs(d)):
-        raise ValueError("noise matrix must be symmetric")
+    d = symmetrized(d, "noise matrix")
     if not is_hurwitz(a):
         raise NotHurwitzError(
             "drift matrix is not Hurwitz; the steady-state equation has no unique solution"

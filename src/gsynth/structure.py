@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DerogatoryMatrixError, DimensionError
 from .gaussian import GraphMatrix
-from .numerics import DEFAULT_TOL, Permutation, eig, max_abs, rank_tol
+from .numerics import DEFAULT_TOL, Permutation, eig, max_abs, rank_tol, threshold
 
 LAMBDA = "lambda"
 PI = "pi"
@@ -95,10 +95,11 @@ def phi_membership(b, tol: float = DEFAULT_TOL) -> bool:
     b = np.asarray(b, dtype=complex)
     if b.shape != (2, 2):
         raise DimensionError(f"membership test needs a 2x2 matrix, got {b.shape}")
-    scale = max(1.0, max_abs(b))
-    if abs(b[0, 1] - b[1, 0]) > tol * scale or abs(b[0, 0] - b[1, 1]) > tol * scale:
+    scale = max_abs(b)
+    entry_tol = threshold(scale, tol)
+    if abs(b[0, 1] - b[1, 0]) > entry_tol or abs(b[0, 0] - b[1, 1]) > entry_tol:
         return False
-    if abs(b[0, 1] ** 2 - b[0, 0] ** 2 - 1.0) > tol * max(1.0, scale ** 2):
+    if abs(b[0, 1] ** 2 - b[0, 0] ** 2 - 1.0) > threshold(scale ** 2, tol):
         return False
     return b[0, 0].imag > 0.0
 
@@ -113,19 +114,19 @@ def xi_membership(b, tol: float = DEFAULT_TOL) -> bool:
     b = np.asarray(b, dtype=complex)
     if b.shape != (2, 2):
         raise DimensionError(f"membership test needs a 2x2 matrix, got {b.shape}")
-    scale = max(1.0, max_abs(b))
-    if abs(b[0, 1] - b[1, 0]) > tol * scale:
+    scale = max_abs(b)
+    if abs(b[0, 1] - b[1, 0]) > threshold(scale, tol):
         return False
     if np.linalg.eigvalsh(0.5 * (b.imag + b.imag.T)).min() <= 0.0:
         return False
     m = np.diag([1.0, -1.0]) @ b
-    return max_abs(m @ m + np.eye(2)) <= tol * max(1.0, scale ** 2)
+    return max_abs(m @ m + np.eye(2)) <= threshold(scale ** 2, tol)
 
 
 def _eig_clusters(a: np.ndarray, tol: float):
     """Unit eigenvectors of ``a`` and one eigenvalue per cluster within ``tol``."""
     w, vecs = eig(a)
-    atol = tol * max(1.0, max_abs(w))
+    atol = threshold(max_abs(w), tol)
     reps: list[complex] = []
     for lam in w:
         if all(abs(lam - r) > atol for r in reps):
@@ -241,12 +242,12 @@ def decompose(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> BlockDecompositio
     """
     z = graph.Z
     n = graph.n_modes
-    threshold = tol * max_abs(z)
+    zero_cut = tol * max_abs(z)
 
     adjacency = [[] for _ in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            if abs(z[j, k]) > threshold:
+            if abs(z[j, k]) > zero_cut:
                 adjacency[j].append(k)
                 adjacency[k].append(j)
 

@@ -24,7 +24,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gaussian import GraphMatrix
-from .numerics import DEFAULT_TOL, eig, max_abs
+from .numerics import DEFAULT_TOL, eig, max_abs, symmetrized, threshold
 from .structure import LAMBDA, PI, BlockDecomposition, decompose, is_controllable
 
 
@@ -58,17 +58,15 @@ class Realization:
             raise DimensionError(
                 f"P must be N x K and C must be K x 2N, got {p.shape} and {c.shape}"
             )
-        scale = max(1.0, max_abs(r))
-        if max_abs(r - np.diag(np.diag(r))) > DEFAULT_TOL * scale:
+        if max_abs(r - np.diag(np.diag(r))) > threshold(max_abs(r)):
             raise ValueError("R must be diagonal")
-        if max_abs(gamma + gamma.T) > DEFAULT_TOL * max(1.0, max_abs(gamma)):
+        if max_abs(gamma + gamma.T) > threshold(max_abs(gamma)):
             raise ValueError("Gamma must be antisymmetric")
-        if max_abs(g - g.T) > DEFAULT_TOL * max(1.0, max_abs(g)):
-            raise ValueError("G must be symmetric")
+        g = symmetrized(g, "G")
         object.__setattr__(self, "R", r)
         object.__setattr__(self, "Gamma", gamma)
         object.__setattr__(self, "P", p)
-        object.__setattr__(self, "G", 0.5 * (g + g.T))
+        object.__setattr__(self, "G", g)
         object.__setattr__(self, "C", c)
 
     @property
@@ -120,7 +118,7 @@ def build_R(dec: BlockDecomposition) -> NDArray[np.float64]:
     for blk in dec.blocks:
         z_tilde[at:at + blk.size, at:at + blk.size] = blk.block
         at += blk.size
-    if max_abs(-z_tilde @ r_tilde @ z_tilde - r_tilde) > DEFAULT_TOL * max(1.0, max_abs(r_tilde)):
+    if max_abs(-z_tilde @ r_tilde @ z_tilde - r_tilde) > threshold(max_abs(r_tilde)):
         raise InvalidRError("frequency assignment violates the block consistency identity")
     # Pull back through the permutation: mode image[s] carries slot s.
     r = np.zeros(dec.n_modes)
@@ -136,11 +134,11 @@ def build_Gamma(graph: GraphMatrix, r, tol: float = DEFAULT_TOL) -> NDArray[np.f
     """
     r = np.asarray(r, dtype=float)
     z = graph.Z
-    scale = max(1.0, max_abs(r), max_abs(z) ** 2 * max_abs(r))
-    if max_abs(-z @ r @ z - r) > tol * scale:
+    r_scale = max_abs(r)
+    if max_abs(-z @ r @ z - r) > threshold(max(r_scale, max_abs(z) ** 2 * r_scale), tol):
         raise InvalidRError("-Z R Z = R fails; R is not consistent with this graph matrix")
     gamma = graph.X @ r @ graph.Y
-    if max_abs(gamma + gamma.T) > tol * max(1.0, max_abs(gamma)):
+    if max_abs(gamma + gamma.T) > threshold(max_abs(gamma), tol):
         raise InvalidRError("X R Y is not antisymmetric; R is not consistent")
     return 0.5 * (gamma - gamma.T)
 
@@ -211,7 +209,7 @@ def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> Realization:
     p = (p / np.linalg.norm(p)).reshape(-1, 1)
     realization = assemble_realization(graph, r, gamma, p)
     g_exact = np.block([[r, np.zeros_like(r)], [np.zeros_like(r), r]])
-    if max_abs(realization.G - g_exact) > tol * max(1.0, max_abs(r)):
+    if max_abs(realization.G - g_exact) > threshold(max_abs(r), tol):
         raise InvalidRError("constructed Hamiltonian does not reduce to the passive diagonal form")
     return replace(realization, G=g_exact)
 
@@ -228,10 +226,10 @@ def verify_constraints(realization: Realization, tol: float = DEFAULT_TOL) -> Co
     g = realization.G
     violations: list[str] = []
 
-    scale = max(1.0, max_abs(g))
-    diagonal = max_abs(g - np.diag(np.diag(g))) <= tol * scale
+    g_tol = threshold(max_abs(g), tol)
+    diagonal = max_abs(g - np.diag(np.diag(g))) <= g_tol
     d = np.diag(g)
-    passive = diagonal and max_abs(d[:n] - d[n:]) <= tol * scale
+    passive = diagonal and max_abs(d[:n] - d[n:]) <= g_tol
     if not passive:
         violations.append("Hamiltonian matrix is not of the passive diagonal form diag(d, d)")
 

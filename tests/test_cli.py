@@ -298,8 +298,32 @@ def test_invalid_numeric_option_is_input_error(tmp_path, capsys, command, option
 def test_synthesize_has_no_seed_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["synthesize", str(write_tms(tmp_path)), "--seed", "3"])
-    assert excinfo.value.code == 2
+    assert excinfo.value.code == 1
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("synthesize",), "state"),
+    (("verify", "design.json"), "target"),
+    (("feasible", "tms.json", "--tol", "abc"), "--tol"),
+    (("frobnicate",), "frobnicate"),
+])
+def test_usage_error_exits_1(capsys, argv, needle):
+    # argparse's own status 2 would read as "infeasible target"
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert needle in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synthesize", "--help"])
+    assert excinfo.value.code == 0
+    assert "--tol" in capsys.readouterr().out
 
 
 def test_feasibility_is_tolerance_sensitive(tmp_path, capsys, monkeypatch):

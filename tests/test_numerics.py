@@ -1,21 +1,32 @@
-"""Tests for the dense linear-algebra substrate."""
+"""Tests for the dense linear-algebra substrate and the tolerance policy."""
+
+import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from gsynth import (
+    CovarianceMatrix,
     DimensionError,
+    GraphMatrix,
+    InvalidCovarianceError,
+    MatrixFileError,
     NotHurwitzError,
     Permutation,
+    Realization,
     eig,
     expm,
     is_hurwitz,
+    phi_membership,
     rank_tol,
     solve_lyapunov,
     spectral_abscissa,
+    verify_constraints,
 )
 from gsynth.dynamics import build_moment_system
+from gsynth.fileio import load_state_file
+from gsynth.numerics import symmetrized, threshold
 from conftest import cluster_parts, tms_graph
 
 
@@ -188,3 +199,96 @@ def test_permutation_roundtrip():
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+# --- the tolerance policy at its edge ---
+
+SCALE = 1e3
+EDGE = 1e-9 * SCALE  # threshold(SCALE) at the default tolerance
+
+
+def _bump(m, index, residual):
+    m = np.array(m)
+    m[index] += residual
+    return m
+
+
+def _rejects(error, build, *args, **kwargs) -> bool:
+    try:
+        build(*args, **kwargs)
+    except error:
+        return True
+    return False
+
+
+def _design(**parts) -> Realization:
+    """A 2-mode design of scale SCALE; ``parts`` replace its matrices."""
+    r = np.diag([SCALE, -SCALE])
+    base = dict(R=r, Gamma=np.zeros((2, 2)), P=np.ones(2), G=np.kron(np.eye(2), r),
+                C=np.ones((1, 4)), graph=GraphMatrix.vacuum(2))
+    return Realization(**{**base, **parts})
+
+
+def _graph_file_rejected(residual, tmp_path) -> bool:
+    z = _bump((1.0 + 1.0j) * SCALE * np.eye(2), (0, 1), residual)
+    path = tmp_path / "graph.json"
+    data = [[[v.real, v.imag] for v in row] for row in z]
+    path.write_text(json.dumps({"kind": "graph", "modes": 2, "data": data}))
+    return _rejects(MatrixFileError, load_state_file, path)
+
+
+def _phi_block(family_residual=0.0):
+    """Coupled pair with ``Z11 = SCALE i`` and ``Z12**2 - Z11**2 - 1 = family_residual``."""
+    z11 = SCALE * 1j
+    z12 = np.sqrt(z11 ** 2 + 1.0 + family_residual)
+    return np.array([[z11, z12], [z12, z11]])
+
+
+# Each entry point fed a residual at scale SCALE; True when it rejects the input.
+POLICY_EDGES = {
+    "CovarianceMatrix symmetry": lambda res, _: _rejects(
+        InvalidCovarianceError, CovarianceMatrix, _bump(SCALE * np.eye(4), (0, 1), res)),
+    "GraphMatrix symmetry": lambda res, _: _rejects(
+        ValueError, GraphMatrix, _bump(SCALE * np.eye(2), (0, 1), res), np.eye(2)),
+    "Realization R diagonal": lambda res, _: _rejects(
+        ValueError, _design, R=_bump(np.diag([SCALE, -SCALE]), (0, 1), res)),
+    "Realization Gamma antisymmetric": lambda res, _: _rejects(
+        ValueError, _design, Gamma=_bump([[0.0, SCALE], [-SCALE, 0.0]], (0, 0), res / 2)),
+    "Realization G symmetric": lambda res, _: _rejects(
+        ValueError, _design, G=_bump(SCALE * np.eye(4), (0, 1), res)),
+    "solve_lyapunov noise matrix": lambda res, _: _rejects(
+        ValueError, solve_lyapunov, -np.eye(4), _bump(SCALE * np.eye(4), (0, 1), res)),
+    "load_state_file graph": _graph_file_rejected,
+    "phi_membership diagonal": lambda res, _: not phi_membership(
+        _bump(_phi_block(), (1, 1), res)),
+    # the family identity is quadratic in Z, so its threshold is at SCALE**2
+    "phi_membership family": lambda res, _: not phi_membership(_phi_block(res * SCALE)),
+    "verify_constraints passive_diagonal": lambda res, _: not verify_constraints(
+        _design(G=_bump(np.kron(np.eye(2), np.diag([SCALE, -SCALE])), (2, 2), res))
+    ).passive_diagonal,
+}
+
+
+@pytest.mark.parametrize("factor, rejected", [(0.5, False), (2.0, True)])
+@pytest.mark.parametrize("entry", sorted(POLICY_EDGES))
+def test_tolerance_policy_edge(tmp_path, entry, factor, rejected):
+    # a residual of half the threshold is zero, twice the threshold is not
+    assert threshold(SCALE) == EDGE
+    assert POLICY_EDGES[entry](factor * EDGE, tmp_path) == rejected
+
+
+def test_solve_lyapunov_symmetrizes_noise_matrix():
+    # an asymmetry the symmetry check accepts must not fail the residual check
+    d = _bump(SCALE * np.eye(2), (0, 1), 0.5 * EDGE)
+    v = solve_lyapunov(-np.eye(2), d)
+    assert np.array_equal(v, solve_lyapunov(-np.eye(2), 0.5 * (d + d.T)))
+
+
+def test_threshold_floor_and_symmetrized():
+    assert threshold(0.0) == threshold(1.0) == 1e-9
+    assert threshold(2.0, tol=1e-3) == 2e-3
+    m = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
+    s = symmetrized(m, "m")
+    assert np.array_equal(s, s.T) and np.abs(s - m).max() <= 1e-12
+    with pytest.raises(ValueError, match="^m must be symmetric$"):
+        symmetrized(m, "m", tol=1e-14)
