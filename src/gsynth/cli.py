@@ -22,6 +22,7 @@ from .dynamics import build_moment_system, evolve, steady_state, verify_generati
 from .errors import (
     GsynthError,
     InfeasibleStateError,
+    InvalidCovarianceError,
     MatrixFileError,
     NotHurwitzError,
     NotPureStateError,
@@ -43,7 +44,7 @@ from .gaussian import (
 from .noise import bath_channels, channel_row, robustness_report
 from .numerics import DEFAULT_TOL, is_hurwitz
 from .structure import decompose
-from .synthesis import synthesize, verify_constraints
+from .synthesis import synthesize
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -142,6 +143,14 @@ def _certificate_stanza(dec) -> dict:
     return stanza
 
 
+def _constraint_flags(constraints) -> dict:
+    return {
+        "passive_diagonal": constraints.passive_diagonal,
+        "single_channel": constraints.single_channel,
+        "rank_condition": constraints.rank_condition,
+    }
+
+
 def cmd_analyze(args) -> int:
     tol = _resolve_tol(args)
     state = load_state_file(args.state)
@@ -196,7 +205,7 @@ def cmd_synthesize(args) -> int:
         return EXIT_INFEASIBLE
 
     realization = synthesize(graph, tol)
-    check = verify_generation(realization, graph_to_covariance(graph))
+    check = verify_generation(realization, graph_to_covariance(graph), constraint_tol=tol)
     out = Path(args.output) if args.output else Path(args.state).with_suffix(".realization.json")
     save_realization(out, realization)
     report["realization"] = {
@@ -213,11 +222,7 @@ def cmd_synthesize(args) -> int:
         "lyapunov_residual": check.lyapunov_residual,
         "steady_state_max_error": check.max_error,
         "steady_purity": check.steady_purity,
-        "constraints": {
-            "passive_diagonal": check.constraints.passive_diagonal,
-            "single_channel": check.constraints.single_channel,
-            "rank_condition": check.constraints.rank_condition,
-        },
+        "constraints": _constraint_flags(check.constraints),
     }
     report["violations"] = list(check.constraints.violations)
     _emit(report, args.format)
@@ -229,8 +234,8 @@ def cmd_verify(args) -> int:
     target_tol = _nonnegative(args.target_tol, "--target-tol")
     realization, noise_rows = load_realization(args.realization)
     target = _as_covariance(load_state_file(args.target))
-    check = verify_generation(realization, target, tol=target_tol, extra_rows=noise_rows)
-    constraints = verify_constraints(realization, tol)
+    check = verify_generation(realization, target, tol=target_tol, extra_rows=noise_rows,
+                              constraint_tol=tol)
     report = {
         "command": "verify",
         "inputs": _input_stanza({"realization": args.realization, "target": args.target}),
@@ -239,23 +244,11 @@ def cmd_verify(args) -> int:
         "max_error": check.max_error,
         "steady_purity": check.steady_purity,
         "generates_target": check.generates_target,
-        "constraints": {
-            "passive_diagonal": constraints.passive_diagonal,
-            "single_channel": constraints.single_channel,
-            "rank_condition": constraints.rank_condition,
-        },
-        "violations": list(constraints.violations),
+        "constraints": _constraint_flags(check.constraints),
+        "violations": list(check.constraints.violations),
     }
     _emit(report, args.format)
     return EXIT_OK
-
-
-def _purity_from_matrix(v: np.ndarray) -> float:
-    n = v.shape[0] // 2
-    det = float(np.linalg.det(v))
-    if det <= 0.0:
-        return float("nan")
-    return 1.0 / (2.0 ** n * np.sqrt(det))
 
 
 def cmd_simulate(args) -> int:
@@ -291,7 +284,11 @@ def cmd_simulate(args) -> int:
         v = trajectory.covariances[k]
         cells = [f"{t:.9g}"]
         cells += [f"{v[i, j]:.12g}" for i in range(n2) for j in range(i, n2)]
-        cells += [f"{_purity_from_matrix(v):.12g}"]
+        try:
+            p = purity(v)
+        except InvalidCovarianceError:
+            p = float("nan")
+        cells += [f"{p:.12g}"]
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.output:

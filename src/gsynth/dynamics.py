@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, GsynthError, NotHurwitzError
 from .gaussian import CovarianceMatrix, purity, symplectic_form
-from .numerics import expm, max_abs, solve_lyapunov, symmetrized, threshold
+from .numerics import DEFAULT_TOL, expm, max_abs, solve_lyapunov, symmetrized, threshold
 from .synthesis import Realization, ConstraintReport, verify_constraints
 
 #: Hard bound on the imaginary residue tolerated when forming the diffusion matrix.
@@ -167,20 +167,23 @@ class GenerationReport:
 
 
 def verify_generation(realization: Realization, target: CovarianceMatrix,
-                      tol: float = 1e-8, extra_rows=None) -> GenerationReport:
+                      tol: float = 1e-8, extra_rows=None,
+                      constraint_tol: float = DEFAULT_TOL) -> GenerationReport:
     """Solve the design's steady state and compare it with ``target``.
 
     Never raises on a failing design: instability or a mismatch is reported
     through the flags and the max-norm error. ``extra_rows`` stacks
     parasitic coupling rows (for example thermal channels) under the
     designed coupling before solving; the constraint flags still refer to
-    the designed coupling alone.
+    the designed coupling alone. ``tol`` bounds the max-norm error;
+    ``constraint_tol`` is the structural tolerance of the one
+    :func:`verify_constraints` call, whose report is ``constraints``.
     """
     c_all = realization.C
     if extra_rows is not None and len(extra_rows):
         c_all = np.vstack([c_all, np.atleast_2d(np.asarray(extra_rows, dtype=complex))])
     system = build_moment_system(realization.G, c_all)
-    constraints = verify_constraints(realization)
+    constraints = verify_constraints(realization, constraint_tol)
     try:
         v_inf = steady_state(system)
     except NotHurwitzError:

@@ -160,12 +160,22 @@ def graph_to_covariance(graph: GraphMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(0.5 * (v + v.T))
 
 
-def purity(cov: CovarianceMatrix) -> float:
-    """Purity ``1 / (2**N sqrt(det V))``, in ``(0, 1]`` for physical states."""
-    det = float(np.linalg.det(cov.V))
+def purity(cov) -> float:
+    """Purity ``1 / (2**N sqrt(det V))``, in ``(0, 1]`` for physical states.
+
+    ``cov`` is a :class:`CovarianceMatrix` or a bare 2N x 2N array, such as
+    a sample of a trajectory, which is not checked for physicality.
+
+    Raises
+    ------
+    InvalidCovarianceError
+        If ``det V`` is not positive.
+    """
+    v = cov.V if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=float)
+    det = float(np.linalg.det(v))
     if det <= 0.0:
         raise InvalidCovarianceError(f"covariance determinant {det:.3e} is not positive")
-    return 1.0 / (2.0 ** cov.n_modes * np.sqrt(det))
+    return 1.0 / (2.0 ** (v.shape[0] // 2) * np.sqrt(det))
 
 
 def symplectic_eigenvalues(v) -> NDArray[np.float64]:

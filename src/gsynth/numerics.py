@@ -5,6 +5,12 @@ eigendecomposition, toleranced rank, a guarded Bartels-Stewart Lyapunov
 solve, matrix exponentials and permutation bookkeeping. All functions are
 pure and safe to call concurrently.
 
+Only :func:`solve_lyapunov` and :func:`expm` need scipy, and each imports
+``scipy.linalg`` when it is called. Importing this module, or the package
+and its command line, loads numpy alone, so a command decided by factoring
+and the block certificate (``analyze``, ``feasible``, an infeasible
+``synthesize``) never pays scipy's import time.
+
 Tolerance policy: a residual ``err`` of a structural test on data of scale
 ``s`` (the max-norm of the entries it came from) counts as zero when
 ``err <= tol * max(1, s)``, relative above unit scale and absolute below
@@ -21,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import DimensionError, NotHurwitzError
@@ -45,8 +50,6 @@ def threshold(scale, tol: float = DEFAULT_TOL) -> float:
     Every scaled structural test compares its residual with this value.
     Exceptions, which keep their own arithmetic for now:
 
-    * ``structure.decompose``'s structural zeros, ``|Z_jk| <= tol * max|Z|``
-      (no floor of 1);
     * ``structure.decompose``'s scalar test ``|z - i| > tol`` (absolute);
     * ``CovarianceMatrix.is_pure``, ``|det(V) 4**N - 1| <= tol`` (absolute);
     * the fixed bounds ``HURWITZ_TOL``, ``gaussian.POSDEF_TOL`` and
@@ -100,14 +103,22 @@ def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank: number of singular values above ``threshold(s_max, tol)``.
 
     The threshold floor of 1 keeps the rank of small-norm matrices from
-    being inflated by noise-level singular values.
+    being inflated by noise-level singular values. The singular values come
+    from numpy's SVD, so this does not load scipy.
+
+    Raises
+    ------
+    ValueError
+        If ``tol`` is negative or ``m`` has a NaN or infinite entry.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
-    s = scipy.linalg.svdvals(m)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("array must not contain infs or NaNs")
+    s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > threshold(float(s[0]), tol)))
 
 
@@ -125,7 +136,8 @@ def is_hurwitz(a) -> bool:
 def solve_lyapunov(a, d) -> NDArray[np.float64]:
     """Solve ``a @ v + v @ a.T + d = 0`` for symmetric ``v``.
 
-    Uses scipy's Schur-based Bartels-Stewart solver. The noise matrix is
+    Uses scipy's Schur-based Bartels-Stewart solver, importing
+    ``scipy.linalg`` on the first call. The noise matrix is
     checked and symmetrized by :func:`symmetrized`, the output is
     symmetrized before being returned, and a relative residual check
     rejects an ill-conditioned solution.
@@ -145,6 +157,8 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
         raise NotHurwitzError(
             "drift matrix is not Hurwitz; the steady-state equation has no unique solution"
         )
+    import scipy.linalg
+
     v = scipy.linalg.solve_continuous_lyapunov(a, -d)
     v = 0.5 * (v + v.T)
     residual = np.linalg.norm(a @ v + v @ a.T + d)
@@ -157,7 +171,12 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
 
 
 def expm(a, t: float = 1.0) -> NDArray[np.float64]:
-    """Matrix exponential ``exp(a * t)`` via scaling-and-squaring with Pade."""
+    """Matrix exponential ``exp(a * t)`` via scaling-and-squaring with Pade.
+
+    Calls ``scipy.linalg.expm``, importing ``scipy.linalg`` on the first call.
+    """
+    import scipy.linalg
+
     a = _require_square(np.asarray(a))
     return scipy.linalg.expm(a * t)
 

@@ -23,6 +23,7 @@ certificate either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,21 +234,26 @@ def find_cyclic_vector(q, tol: float = DEFAULT_TOL):
 def decompose(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> BlockDecomposition:
     """Classify a graph matrix against the feasible block structure.
 
-    Entries with ``|Z_jk| <= tol * max|Z|`` count as structural zeros. The
-    connected components of the remaining off-diagonal support are the
-    indecomposable diagonal blocks; feasibility requires every component
-    to span at most two modes, every two-mode component to pass
-    :func:`phi_membership`, and at most one lone scalar to differ from
+    An off-diagonal entry counts as a structural zero when ``|Z_jk|`` is at
+    most ``threshold(sqrt(|Z_jj| |Z_kk|), tol)``, the zero threshold at the
+    scale of its own two modes, so a large entry elsewhere in ``Z`` cannot
+    hide a coupling. The connected components of the remaining off-diagonal
+    support are the indecomposable diagonal blocks; feasibility requires
+    every component to span at most two modes, every two-mode component to
+    pass :func:`phi_membership`, and at most one lone scalar to differ from
     ``i`` (absolute tolerance ``tol``).
     """
     z = graph.Z
     n = graph.n_modes
-    zero_cut = tol * max_abs(z)
+    mags = np.abs(z).tolist()
 
     adjacency = [[] for _ in range(n)]
     for j in range(n):
         for k in range(j + 1, n):
-            if abs(z[j, k]) > zero_cut:
+            # an exact zero is a structural zero at any tolerance; skipping
+            # it spares the threshold on the sparse graphs of feasible states
+            m = mags[j][k]
+            if m and m > threshold(math.sqrt(mags[j][j] * mags[k][k]), tol):
                 adjacency[j].append(k)
                 adjacency[k].append(j)
 

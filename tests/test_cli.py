@@ -1,14 +1,21 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gsynth import CovarianceMatrix, graph_to_covariance, states
+import gsynth
+from gsynth import CovarianceMatrix, graph_to_covariance, states, verify_constraints
 from gsynth.cli import main
+from gsynth.dynamics import Trajectory
 from gsynth.fileio import load_realization, save_covariance, save_graph, save_realization
+from gsynth.numerics import DEFAULT_TOL
 from conftest import (
     THERMAL_TMS_NEGATIVITY,
     THERMAL_TMS_PURITY,
@@ -186,6 +193,22 @@ def test_simulate_vacuum_converges_to_pure(tmp_path, capsys):
     assert code == 0
     last = out.strip().splitlines()[-1].split(",")
     assert float(last[-1]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_simulate_writes_nan_purity_for_nonpositive_determinant(tmp_path, capsys, monkeypatch):
+    tms = write_tms(tmp_path)
+    run(capsys, "synthesize", str(tms))
+
+    def singular_samples(system, v0, times):
+        covs = np.stack([np.zeros((4, 4)), v0.V, np.diag([-1.0, 1.0, 1.0, 1.0])])
+        return Trajectory(times=times, means=np.zeros((3, 4)), covariances=covs)
+
+    monkeypatch.setattr("gsynth.cli.evolve", singular_samples)
+    code, out, _ = run(capsys, "simulate", str(tmp_path / "tms.realization.json"),
+                       "--t-max", "2", "--steps", "3")
+    assert code == 0
+    purities = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
+    assert purities == ["nan", "1", "nan"]
 
 
 def test_simulate_unstable_requires_flag(tmp_path, capsys):
@@ -443,3 +466,67 @@ def test_verify_unstable_reports_nulls(tmp_path, capsys):
     assert report["generates_target"] is False
     assert report["max_error"] is None
     assert report["steady_purity"] is None
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+def test_one_rank_test_per_command_at_tol(tmp_path, capsys, monkeypatch, command):
+    tms = write_tms(tmp_path)
+    design = tmp_path / "design.json"
+    run(capsys, "synthesize", str(tms), "-o", str(design))
+    calls = []
+
+    def recording(realization, tol=DEFAULT_TOL):
+        calls.append(tol)
+        return verify_constraints(realization, tol)
+
+    for module in ("gsynth.cli", "gsynth.dynamics", "gsynth.synthesis"):
+        monkeypatch.setattr(f"{module}.verify_constraints", recording, raising=False)
+    argv = {"synthesize": ["synthesize", str(tms), "-o", str(design)],
+            "verify": ["verify", str(design), str(tms)]}[command]
+    code, out, _ = run(capsys, *argv, "--tol", "1e-3")
+    assert code == 0
+    assert calls == [1e-3]
+    report = json.loads(out)
+    flags = report["metrics"]["constraints"] if command == "synthesize" else report["constraints"]
+    assert all(flags.values())
+
+
+COLD_PATH = """
+import contextlib, io, json, sys
+import gsynth.cli
+
+good, bad, design = sys.argv[1:4]
+seen = {"import": [None, "scipy" in sys.modules]}
+for name, argv in (("analyze", ["analyze", good]),
+                   ("feasible", ["feasible", good]),
+                   ("feasible infeasible", ["feasible", bad]),
+                   ("synthesize infeasible", ["synthesize", bad]),
+                   ("synthesize", ["synthesize", good, "-o", design])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gsynth.cli.main(argv)
+    seen[name] = [code, "scipy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_path_does_not_load_scipy(tmp_path):
+    # analyze, feasible and an infeasible synthesize are decided without a
+    # Lyapunov solve, so a fresh process running them never imports scipy
+    good, bad, design = tmp_path / "tms.json", tmp_path / "cluster.json", tmp_path / "d.json"
+    save_covariance(good, states.two_mode_squeezed(0.7))
+    save_covariance(bad, cluster_parts(0.5).cov)
+    env = {**os.environ, "PYTHONPATH": str(Path(gsynth.__file__).resolve().parents[1])}
+    env.pop("GSYNTH_TOL", None)
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH, str(good), str(bad), str(design)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {
+        "import": [None, False],
+        "analyze": [0, False],
+        "feasible": [0, False],
+        "feasible infeasible": [2, False],
+        "synthesize infeasible": [2, False],
+        "synthesize": [0, True],
+    }
+    realization, _ = load_realization(design)
+    assert realization.n_channels == 1

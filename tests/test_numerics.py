@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from gsynth import (
@@ -83,6 +84,41 @@ def test_rank_tol_permutation_invariant():
         rows = rng.permutation(5)
         cols = rng.permutation(5)
         assert rank_tol(m, 1e-9) == rank_tol(m[np.ix_(rows, cols)], 1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_rank_tol_rejects_non_finite(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        rank_tol(m)
+
+
+def test_rank_tol_matches_scipy_svdvals():
+    # oracle: the same count over scipy's singular values, on matrices with
+    # singular values placed at 1/2 and 2 times the threshold
+    rng = np.random.default_rng(23)
+
+    def unitary(n):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return q
+
+    for _ in range(150):
+        rows = int(rng.integers(1, 33))
+        cols = rows + int(rng.integers(0, 3))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        tol = float(rng.choice([1e-9, 1e-6]))
+        cut = threshold(scale, tol)
+        s = scale * rng.uniform(1e-3, 1.0, size=rows)
+        s[0] = scale
+        s[rng.random(rows) < 0.3] = 0.0
+        s[rng.random(rows) < 0.2] = 0.5 * cut
+        s[rng.random(rows) < 0.2] = 2.0 * cut
+        m = unitary(rows) @ np.diag(s).astype(complex) @ unitary(cols)[:rows]
+        oracle = scipy.linalg.svdvals(m)
+        for t in (tol, 1e-3):
+            expected = int(np.count_nonzero(oracle > threshold(float(oracle[0]), t)))
+            assert rank_tol(m, t) == expected
 
 
 def test_rank_tol_rejects_negative_tol():

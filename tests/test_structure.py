@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from gsynth import (
     DerogatoryMatrixError,
     GraphMatrix,
+    InfeasibleStateError,
     Permutation,
     assemble_graph,
     decompose,
@@ -17,6 +18,7 @@ from gsynth import (
     non_derogatory,
     phi_membership,
     rank_tol,
+    synthesize,
     xi_membership,
 )
 from gsynth.structure import (
@@ -299,6 +301,38 @@ def test_decompose_block_count_and_conjugation():
             at += blk.size
         # exceptional block first, everything after it in the pair family
         assert all(b.tag == XI_PHI for b in dec.blocks[1:])
+
+
+def _with_large_scalar(block: np.ndarray, scale: float) -> GraphMatrix:
+    """``diag(scale * i) (+) block``: one far larger mode beside ``block``."""
+    n = block.shape[0] + 1
+    z = np.zeros((n, n), dtype=complex)
+    z[0, 0] = scale * 1j
+    z[1:, 1:] = block
+    return GraphMatrix(z.real, z.imag)
+
+
+def test_decompose_large_scalar_does_not_hide_couplings():
+    # a 3-mode block with couplings 0.3 beside a 1e10 scalar: each coupling
+    # is judged at the scale of its own two modes, so the block stays
+    # connected and the state is infeasible (a cut at tol * max|Z| = 10
+    # called it feasible, and synthesize then raised InvalidRError)
+    block = 0.3 * (np.ones((3, 3)) - np.eye(3)) + 1j * np.eye(3)
+    graph = _with_large_scalar(block, 1e10)
+    dec = decompose(graph)
+    assert not dec.feasible
+    assert dec.certificate.reason == "component size 3 exceeds 2 (modes (1, 2, 3))"
+    with pytest.raises(InfeasibleStateError):
+        synthesize(graph)
+
+
+def test_decompose_large_scalar_keeps_pairs():
+    # the converse: the two-mode squeezed pair beside a 1e10 scalar is a
+    # lambda block plus a coupled pair, not three scalars
+    dec = decompose(_with_large_scalar(tms_graph(0.7).Z, 1e10))
+    assert dec.feasible
+    assert [b.tag for b in dec.blocks] == [LAMBDA, XI_PHI]
+    assert dec.permutation.image == (0, 1, 2)
 
 
 def test_decompose_relabeling_invariant():
