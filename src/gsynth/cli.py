@@ -401,7 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("realization", help="realization file")
     p.add_argument("target", help="covariance or graph file")
     p.add_argument("--target-tol", type=float, default=1e-8,
-                   help="max-norm tolerance for matching the target (default 1e-8)")
+                   help="tolerance for matching the target: the max-norm error may be "
+                        "target-tol * max(1, max|V_target|) (default 1e-8)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -151,7 +151,11 @@ def _van_loan_step(system: MomentSystem, h: float) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class GenerationReport:
-    """Outcome of checking a design against its target covariance."""
+    """Outcome of checking a design against its target covariance.
+
+    ``tolerance`` is the bound the max-norm error was compared with, the
+    target tolerance at the scale of the target.
+    """
 
     hurwitz: bool
     lyapunov_residual: float
@@ -175,7 +179,10 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
     through the flags and the max-norm error. ``extra_rows`` stacks
     parasitic coupling rows (for example thermal channels) under the
     designed coupling before solving; the constraint flags still refer to
-    the designed coupling alone. ``tol`` bounds the max-norm error;
+    the designed coupling alone. The max-norm error passes when it is at
+    most ``threshold(max|target.V|, tol)``, the bound stored as
+    ``tolerance``: absolute at unit scale, relative above it, so a
+    strongly squeezed target is judged against its own entries.
     ``constraint_tol`` is the structural tolerance of the one
     :func:`verify_constraints` call, whose report is ``constraints``.
     """
@@ -184,12 +191,13 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
         c_all = np.vstack([c_all, np.atleast_2d(np.asarray(extra_rows, dtype=complex))])
     system = build_moment_system(realization.G, c_all)
     constraints = verify_constraints(realization, constraint_tol)
+    bound = threshold(max_abs(target.V), tol)
     try:
         v_inf = steady_state(system)
     except NotHurwitzError:
         return GenerationReport(
             hurwitz=False, lyapunov_residual=float("inf"), max_error=float("inf"),
-            steady_purity=float("nan"), constraints=constraints, tolerance=tol,
+            steady_purity=float("nan"), constraints=constraints, tolerance=bound,
             steady_covariance=None,
         )
     residual = float(np.linalg.norm(system.A @ v_inf.V + v_inf.V @ system.A.T + system.D))
@@ -199,6 +207,6 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
         max_error=max_abs(v_inf.V - target.V),
         steady_purity=purity(v_inf),
         constraints=constraints,
-        tolerance=tol,
+        tolerance=bound,
         steady_covariance=v_inf,
     )

@@ -38,10 +38,6 @@ class UnsupportedBipartitionError(GsynthError):
     one mode against one mode."""
 
 
-class DerogatoryMatrixError(GsynthError):
-    """No cyclic vector exists because the matrix is derogatory."""
-
-
 class InvalidRError(GsynthError):
     """The diagonal frequency matrix is inconsistent with the target graph
     matrix (the quadratic consistency identity fails)."""

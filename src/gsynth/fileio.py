@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import GsynthError, MatrixFileError
 from .gaussian import CovarianceMatrix, GraphMatrix
-from .numerics import max_abs, threshold
 from .synthesis import Realization
 
 FORMAT_VERSION = 1
@@ -122,8 +121,6 @@ def load_state_file(path) -> CovarianceMatrix | GraphMatrix:
             raise MatrixFileError(
                 f"{path}: graph matrix for {modes} modes must be {modes}x{modes}, got {z.shape}"
             )
-        if max_abs(z - z.T) > threshold(max_abs(z)):
-            raise MatrixFileError(f"{path}: graph matrix is not symmetric")
         try:
             return GraphMatrix(z.real, z.imag)
         except (GsynthError, ValueError) as exc:

@@ -74,8 +74,11 @@ def bath_channels(mode: int, gamma: float, nbar: float) -> tuple[NoiseChannel, N
 
 def augment(realization: Realization, channels) -> MomentSystem:
     """Moment system of a design with thermal rows stacked under its coupling."""
-    rows = [channel_row(ch, realization.n_modes) for ch in channels]
-    c_all = np.vstack([realization.C] + [np.atleast_2d(r) for r in rows]) if rows else realization.C
+    return _with_rows(realization, [channel_row(ch, realization.n_modes) for ch in channels])
+
+
+def _with_rows(realization: Realization, rows) -> MomentSystem:
+    c_all = np.vstack([realization.C, *rows]) if rows else realization.C
     return build_moment_system(realization.G, c_all)
 
 
@@ -119,7 +122,7 @@ def robustness_report(realization: Realization, channels,
     designed coupling rows, leaving the thermal rows.
     """
     rows = [channel_row(ch, realization.n_modes) for ch in channels]
-    with_metrics = _metrics(augment(realization, channels))
+    with_metrics = _metrics(_with_rows(realization, rows))
     if rows:
         without_system = build_moment_system(realization.G, np.vstack(rows))
         without_metrics = _metrics(without_system)

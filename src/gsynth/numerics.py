@@ -57,9 +57,7 @@ def threshold(scale, tol: float = DEFAULT_TOL) -> float:
     * ``dynamics.MomentSystem``'s positive-semidefinite floor ``-1e-10``
       (absolute);
     * the Lyapunov residual bound in :func:`solve_lyapunov` (Frobenius
-      norms, relative with no floor);
-    * ``dynamics.verify_generation``'s target test, ``max|V - V_target|
-      <= tol`` (absolute).
+      norms, relative with no floor).
     """
     return tol * max(1.0, scale)
 
@@ -196,10 +194,6 @@ class Permutation:
         n = len(self.image)
         if sorted(self.image) != list(range(n)):
             raise ValueError(f"image {self.image} is not a bijection on 0..{n - 1}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
 
     @property
     def n(self) -> int:

@@ -19,6 +19,11 @@ even. ``decompose`` finds the relabeling from the connected components of
 the off-diagonal support graph, which is equivalent to searching over all
 permutations because permutations preserve components, and emits a
 certificate either way.
+
+The certificate fixes the spectrum of ``Q = -R Z`` to distinct values, so
+``synthesize`` takes its coupling seed in closed form and searches for
+nothing. The one rank condition kept here is the Hautus test
+:func:`is_controllable` (Hautus 1969), which ``verify_constraints`` runs.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerogatoryMatrixError, DimensionError
+from .errors import DimensionError
 from .gaussian import GraphMatrix
-from .numerics import DEFAULT_TOL, Permutation, eig, max_abs, rank_tol, threshold
+from .numerics import DEFAULT_TOL, Permutation, max_abs, rank_tol, threshold
 
 LAMBDA = "lambda"
 PI = "pi"
@@ -105,130 +110,28 @@ def phi_membership(b, tol: float = DEFAULT_TOL) -> bool:
     return b[0, 0].imag > 0.0
 
 
-def xi_membership(b, tol: float = DEFAULT_TOL) -> bool:
-    """Involution-based membership test for the coupled-pair block family.
+def is_controllable(q, p, tol: float = DEFAULT_TOL) -> bool:
+    """Hautus rank test for the controllability of ``(q, p)``.
 
-    True when the 2x2 matrix is symmetric, its imaginary part is positive
-    definite and ``(diag(1, -1) b)**2 = -I`` within ``tol``. Agrees with
-    :func:`phi_membership` on every input.
+    Checks ``rank([q - w I, p]) == n`` at one eigenvalue ``w`` of each
+    cluster, eigenvalues closer than ``threshold(max|w|, tol)`` counting as
+    one. This is equivalent to full rank of the power-basis controllability
+    matrix but avoids its exponential ill-conditioning.
     """
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (2, 2):
-        raise DimensionError(f"membership test needs a 2x2 matrix, got {b.shape}")
-    scale = max_abs(b)
-    if abs(b[0, 1] - b[1, 0]) > threshold(scale, tol):
-        return False
-    if np.linalg.eigvalsh(0.5 * (b.imag + b.imag.T)).min() <= 0.0:
-        return False
-    m = np.diag([1.0, -1.0]) @ b
-    return max_abs(m @ m + np.eye(2)) <= threshold(scale ** 2, tol)
-
-
-def _eig_clusters(a: np.ndarray, tol: float):
-    """Unit eigenvectors of ``a`` and one eigenvalue per cluster within ``tol``."""
-    w, vecs = eig(a)
+    q = np.asarray(q, dtype=complex)
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise DimensionError(f"matrix must be square, got shape {q.shape}")
+    p = np.atleast_2d(np.asarray(p, dtype=complex).T).T
+    n = q.shape[0]
+    if p.shape[0] != n:
+        raise DimensionError(f"seed must have {n} rows, got shape {p.shape}")
+    w = np.linalg.eigvals(q)
     atol = threshold(max_abs(w), tol)
     reps: list[complex] = []
     for lam in w:
         if all(abs(lam - r) > atol for r in reps):
             reps.append(complex(lam))
-    return vecs, reps
-
-
-def non_derogatory(a, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``rank(a - w I) == n - 1`` for every distinct eigenvalue ``w``.
-
-    Eigenvalues closer than ``tol`` at the matrix scale are treated as one.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    _, reps = _eig_clusters(a, tol)
-    return all(rank_tol(a - lam * np.eye(n), tol) == n - 1 for lam in reps)
-
-
-def _krylov(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Columns ``[p, q p, ..., q^(n-1) p]`` for p a vector or matrix."""
-    n = q.shape[0]
-    cols = [np.atleast_2d(p.T).T]
-    for _ in range(n - 1):
-        cols.append(q @ cols[-1])
-    return np.hstack(cols)
-
-
-def controllability_rank(q, p, tol: float = DEFAULT_TOL) -> int:
-    """Rank of the controllability matrix of ``(q, p)``.
-
-    Columns are normalized before the rank test; this leaves the rank
-    unchanged but keeps the test meaningful when powers of ``q`` spread
-    the column scales over many orders of magnitude. Note the conditioning
-    of the power basis still degrades exponentially with dimension; use
-    :func:`is_controllable` for a decision that stays reliable up to the
-    supported 32 modes.
-    """
-    q = np.asarray(q, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    k = _krylov(q, p)
-    norms = np.linalg.norm(k, axis=0)
-    norms[norms == 0.0] = 1.0
-    return rank_tol(k / norms, tol)
-
-
-def is_controllable(q, p, tol: float = DEFAULT_TOL) -> bool:
-    """Eigenvalue-wise controllability test for ``(q, p)``.
-
-    Checks ``rank([q - w I, p]) == n`` at every distinct eigenvalue ``w``,
-    which is equivalent to full rank of the power-basis controllability
-    matrix but avoids its exponential ill-conditioning.
-    """
-    q = np.asarray(q, dtype=complex)
-    p = np.atleast_2d(np.asarray(p, dtype=complex).T).T
-    n = q.shape[0]
-    if p.shape[0] != n:
-        raise DimensionError(f"seed must have {n} rows, got shape {p.shape}")
-    _, reps = _eig_clusters(q, tol)
     return all(rank_tol(np.hstack([q - lam * np.eye(n), p]), tol) == n for lam in reps)
-
-
-def find_cyclic_vector(q, tol: float = DEFAULT_TOL):
-    """A unit vector ``p`` with ``rank([p, q p, ..., q^(n-1) p]) = n``.
-
-    A general search for any square ``q``; ``synthesize`` needs none, as
-    its certificate makes the spectrum distinct. When the eigenvalues of
-    ``q`` are pairwise distinct the all-ones combination of the eigenbasis
-    is tried first. With repeated eigenvalues any vector whose Krylov basis
-    has full rank yields a similarity of ``q`` to companion form with that
-    vector as first basis column, so a fixed-seed search over candidate
-    seeds follows. Controllability of the returned vector is always
-    verified (via :func:`is_controllable`) before returning.
-
-    Raises
-    ------
-    DerogatoryMatrixError
-        If ``q`` is derogatory, in which case no cyclic vector exists.
-    """
-    q = np.asarray(q, dtype=complex)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {q.shape}")
-    if not non_derogatory(q, tol):
-        raise DerogatoryMatrixError("matrix is derogatory; no cyclic vector exists")
-    n = q.shape[0]
-    vecs, reps = _eig_clusters(q, tol)
-
-    def candidates():
-        if len(reps) == n:
-            yield vecs @ np.ones(n)
-        yield np.ones(n, dtype=complex)
-        gen = np.random.default_rng(0)
-        for _ in range(64):
-            yield gen.normal(size=n) + 1j * gen.normal(size=n)
-
-    for p in candidates():
-        p = p / np.linalg.norm(p)
-        if is_controllable(q, p, tol):
-            return p
-    raise DerogatoryMatrixError("no cyclic vector found within the search budget")
 
 
 def decompose(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> BlockDecomposition:

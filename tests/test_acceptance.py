@@ -19,7 +19,6 @@ from gsynth import (
     factor_covariance,
     graph_to_covariance,
     log_negativity,
-    non_derogatory,
     phi_membership,
     purity,
     rank_tol,
@@ -29,13 +28,12 @@ from gsynth import (
     synthesize,
     verify_constraints,
     verify_generation,
-    xi_membership,
 )
-from gsynth.errors import DerogatoryMatrixError
 from gsynth.numerics import is_hurwitz
-from gsynth.structure import XI_PHI, find_cyclic_vector, is_controllable
+from gsynth.structure import XI_PHI, is_controllable
 from gsynth.noise import augment, channel_row
 from conftest import (
+    DerogatoryMatrixError,
     PAIR_LOG_NEGATIVITY,
     THERMAL_PAIR_NEGATIVITY,
     THERMAL_PAIR_PURITY,
@@ -45,6 +43,8 @@ from conftest import (
     THERMAL_TMS_V,
     cluster_parts,
     eight_mode_graph,
+    find_cyclic_vector,
+    non_derogatory,
     pair_cov,
     pair_graph,
     pair_realization,
@@ -53,6 +53,7 @@ from conftest import (
     standard_baths,
     tms_graph,
     tms_realization,
+    xi_membership,
 )
 
 

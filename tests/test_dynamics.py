@@ -12,6 +12,7 @@ from gsynth import (
     NotHurwitzError,
     build_moment_system,
     evolve,
+    factor_covariance,
     graph_to_covariance,
     is_hurwitz,
     purity,
@@ -208,6 +209,17 @@ def test_verify_generation_roundtrip():
     assert report.max_error <= 1e-8
     assert report.steady_purity == pytest.approx(1.0, abs=1e-6)
     assert report.constraints.all_ok
+
+
+@pytest.mark.parametrize("alpha", [3.5, 4.0])
+def test_verify_generation_strong_squeezing(alpha):
+    # the max-norm error (2.6e-8 at alpha 3.5, 6.5e-8 at 4) is above the
+    # absolute 1e-8 but below 1e-10 of the target's largest entry
+    target = states.two_mode_squeezed(alpha)
+    report = verify_generation(synthesize(factor_covariance(target)), target)
+    assert report.max_error > 1e-8
+    assert report.tolerance == 1e-8 * np.abs(target.V).max()
+    assert report.generates_target
 
 
 def test_verify_generation_cluster_two_channel_design():

@@ -265,8 +265,7 @@ def _design(**parts) -> Realization:
     return Realization(**{**base, **parts})
 
 
-def _graph_file_rejected(residual, tmp_path) -> bool:
-    z = _bump((1.0 + 1.0j) * SCALE * np.eye(2), (0, 1), residual)
+def _graph_file_rejected(z, tmp_path) -> bool:
     path = tmp_path / "graph.json"
     data = [[[v.real, v.imag] for v in row] for row in z]
     path.write_text(json.dumps({"kind": "graph", "modes": 2, "data": data}))
@@ -294,7 +293,12 @@ POLICY_EDGES = {
         ValueError, _design, G=_bump(SCALE * np.eye(4), (0, 1), res)),
     "solve_lyapunov noise matrix": lambda res, _: _rejects(
         ValueError, solve_lyapunov, -np.eye(4), _bump(SCALE * np.eye(4), (0, 1), res)),
-    "load_state_file graph": _graph_file_rejected,
+    "load_state_file graph": lambda res, tmp_path: _graph_file_rejected(
+        _bump((1.0 + 1.0j) * SCALE * np.eye(2), (0, 1), res), tmp_path),
+    # X and Y each skewed by the residual at their own scale SCALE: the skew
+    # of Z is sqrt(2) times the residual, at about the same scale max|Z|
+    "load_state_file graph, X and Y skewed": lambda res, tmp_path: _graph_file_rejected(
+        _bump(np.diag([SCALE + 1.0j, SCALE * 1.0j]), (0, 1), (1.0 + 1.0j) * res), tmp_path),
     "phi_membership diagonal": lambda res, _: not phi_membership(
         _bump(_phi_block(), (1, 1), res)),
     # the family identity is quadratic in Z, so its threshold is at SCALE**2
@@ -305,10 +309,10 @@ POLICY_EDGES = {
 }
 
 
-@pytest.mark.parametrize("factor, rejected", [(0.5, False), (2.0, True)])
+@pytest.mark.parametrize("factor, rejected", [(0.5, False), (0.9, False), (2.0, True)])
 @pytest.mark.parametrize("entry", sorted(POLICY_EDGES))
 def test_tolerance_policy_edge(tmp_path, entry, factor, rejected):
-    # a residual of half the threshold is zero, twice the threshold is not
+    # a residual below the threshold is zero, twice the threshold is not
     assert threshold(SCALE) == EDGE
     assert POLICY_EDGES[entry](factor * EDGE, tmp_path) == rejected
 

@@ -7,34 +7,34 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gsynth import (
-    DerogatoryMatrixError,
     GraphMatrix,
     InfeasibleStateError,
     Permutation,
     assemble_graph,
     decompose,
     eig,
-    find_cyclic_vector,
-    non_derogatory,
     phi_membership,
     rank_tol,
     synthesize,
-    xi_membership,
 )
 from gsynth.structure import (
     LAMBDA,
     PI,
     XI_PHI,
     BlockClass,
-    controllability_rank,
     is_controllable,
 )
 from conftest import (
+    DerogatoryMatrixError,
     cluster_parts,
+    controllability_rank,
+    find_cyclic_vector,
+    non_derogatory,
     pair_graph,
     random_feasible_graph,
     random_phi_block,
     tms_graph,
+    xi_membership,
 )
 
 
@@ -161,7 +161,7 @@ def test_find_cyclic_vector_repeated_eigenvalues():
     assert controllability_rank(jordan, p) == 3
 
 
-def test_is_controllable_matches_power_basis_rank():
+def test_is_controllable_matches_power_basis_rank(monkeypatch):
     rng = np.random.default_rng(22)
     for _ in range(50):
         n = int(rng.integers(2, 6))
@@ -173,6 +173,28 @@ def test_is_controllable_matches_power_basis_rank():
             _, vecs = eig(q)
             p = vecs[:, 0]
         assert is_controllable(q, p) == (controllability_rank(q, p) == n)
+
+    # repeated eigenvalues: one rank test per cluster, so a scalar matrix
+    # (its eigenvalues split in the last bits by the similarity) takes one
+    # and a Jordan block beside a simple eigenvalue takes two
+    import gsynth.structure
+
+    calls = []
+
+    def counted_rank_tol(m, tol):
+        calls.append(m)
+        return rank_tol(m, tol)
+
+    monkeypatch.setattr(gsynth.structure, "rank_tol", counted_rank_tol)
+    f = rng.normal(size=(3, 3))
+    scalar = f @ ((0.3 - 1.2j) * np.eye(3)) @ np.linalg.inv(f)
+    jordan = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
+    for q, clusters in ((scalar, 1), (jordan, 2)):
+        for p in (np.ones(3), np.eye(3)[0], np.eye(3)[1], np.eye(3)):
+            calls.clear()
+            assert is_controllable(q, p) == (controllability_rank(q, p) == 3)
+            assert len(calls) <= clusters
+        assert len(calls) == clusters  # the full-rank seed passes at every cluster
 
 
 def test_is_controllable_scales_past_power_basis():
