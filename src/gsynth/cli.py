@@ -44,7 +44,7 @@ from .gaussian import (
 from .noise import bath_channels, channel_row, robustness_report
 from .numerics import DEFAULT_TOL, is_hurwitz
 from .structure import decompose
-from .synthesis import synthesize
+from .synthesis import _synthesize
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -204,7 +204,7 @@ def cmd_synthesize(args) -> int:
         _emit(report, args.format)
         return EXIT_INFEASIBLE
 
-    realization = synthesize(graph, tol)
+    realization = _synthesize(graph, dec, tol)
     check = verify_generation(realization, graph_to_covariance(graph), constraint_tol=tol)
     out = Path(args.output) if args.output else Path(args.state).with_suffix(".realization.json")
     save_realization(out, realization)

@@ -1,9 +1,10 @@
 """Dense real/complex matrix substrate and the tolerance policy.
 
 Everything here targets small dense problems (matrix dimension at most 64):
-eigendecomposition, toleranced rank, a guarded Bartels-Stewart Lyapunov
-solve, matrix exponentials and permutation bookkeeping. All functions are
-pure and safe to call concurrently.
+eigendecomposition, toleranced rank, a Bartels-Stewart Lyapunov solve whose
+Hurwitz guard reads the real Schur form it solves with, matrix exponentials
+and permutation bookkeeping. All functions are pure and safe to call
+concurrently.
 
 Only :func:`solve_lyapunov` and :func:`expm` need scipy, and each imports
 ``scipy.linalg`` when it is called. Importing this module, or the package
@@ -134,30 +135,54 @@ def is_hurwitz(a) -> bool:
 def solve_lyapunov(a, d) -> NDArray[np.float64]:
     """Solve ``a @ v + v @ a.T + d = 0`` for symmetric ``v``.
 
-    Uses scipy's Schur-based Bartels-Stewart solver, importing
-    ``scipy.linalg`` on the first call. The noise matrix is
-    checked and symmetrized by :func:`symmetrized`, the output is
-    symmetrized before being returned, and a relative residual check
-    rejects an ill-conditioned solution.
+    Bartels-Stewart on one real Schur form ``a = u t u.T``, importing
+    ``scipy.linalg`` on the first call. In LAPACK's standardized real Schur
+    form ``diag(t)`` holds the real part of every eigenvalue, so the Hurwitz
+    guard (the same ``-HURWITZ_TOL`` bound as :func:`is_hurwitz`) reads it
+    from ``t`` and no separate eigenvalue solve runs; LAPACK's ``?trsyl``
+    then solves the triangular equation. The noise matrix is checked and
+    symmetrized by :func:`symmetrized`, the output is symmetrized before
+    being returned, and a relative residual check rejects an
+    ill-conditioned solution.
 
     Raises
     ------
+    numpy.linalg.LinAlgError
+        If ``a`` has a NaN or infinite entry.
+    ValueError
+        If ``d`` is not symmetric or, for a Hurwitz ``a``, has a NaN or
+        infinite entry.
     NotHurwitzError
         If ``a`` is not Hurwitz, in which case the equation has no unique
-        stabilizing solution.
+        stabilizing solution, or if the solution fails the residual check.
     """
     a = _require_square(np.asarray(a, dtype=float), "drift matrix")
     d = np.asarray(d, dtype=float)
     if d.shape != a.shape:
         raise DimensionError(f"noise matrix shape {d.shape} does not match {a.shape}")
     d = symmetrized(d, "noise matrix")
-    if not is_hurwitz(a):
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    import scipy.linalg
+
+    t, u = scipy.linalg.schur(a, output="real")
+    if not np.diag(t).max() < -HURWITZ_TOL:
         raise NotHurwitzError(
             "drift matrix is not Hurwitz; the steady-state equation has no unique solution"
         )
-    import scipy.linalg
-
-    v = scipy.linalg.solve_continuous_lyapunov(a, -d)
+    q = -d
+    if not np.isfinite(q).all():
+        raise ValueError("array must not contain infs or NaNs")
+    # the products in scipy's solve_continuous_lyapunov order, so the result
+    # is bitwise what that call returns
+    f = u.conj().T.dot(q.dot(u))
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t, f))
+    y, scale, info = trsyl(t, t, f, tranb="T")
+    if info < 0:
+        raise ValueError(f"?trsyl: illegal value in argument number {-info}")
+    # info == 1: trsyl perturbed a near-zero eigenvalue sum; the residual check decides
+    y *= scale
+    v = u.dot(y).dot(u.conj().T)
     v = 0.5 * (v + v.T)
     residual = np.linalg.norm(a @ v + v @ a.T + d)
     bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d))

@@ -22,8 +22,11 @@ certificate either way.
 
 The certificate fixes the spectrum of ``Q = -R Z`` to distinct values, so
 ``synthesize`` takes its coupling seed in closed form and searches for
-nothing. The one rank condition kept here is the Hautus test
-:func:`is_controllable` (Hautus 1969), which ``verify_constraints`` runs.
+nothing. :func:`is_controllable` is the general Hautus rank test (Hautus
+1969). ``verify_constraints`` decides a distinct spectrum with a clear
+margin by the cheaper left-eigenvector form of the same test and runs
+:func:`is_controllable` for every other case, so any "not controllable"
+verdict comes from here.
 """
 
 from __future__ import annotations

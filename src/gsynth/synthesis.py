@@ -27,6 +27,8 @@ from .gaussian import GraphMatrix
 from .numerics import DEFAULT_TOL, eig, max_abs, symmetrized, threshold
 from .structure import LAMBDA, PI, BlockDecomposition, decompose, is_controllable
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -198,7 +200,11 @@ def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> Realization:
     InfeasibleStateError
         If the state fails the block-structure test; carries the certificate.
     """
-    dec = decompose(graph, tol)
+    return _synthesize(graph, decompose(graph, tol), tol)
+
+
+def _synthesize(graph: GraphMatrix, dec: BlockDecomposition, tol: float) -> Realization:
+    """:func:`synthesize` from the decomposition ``dec`` that ``decompose`` made of ``graph``."""
     if not dec.feasible:
         raise InfeasibleStateError(dec.certificate)
     r = build_R(dec)
@@ -214,13 +220,66 @@ def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> Realization:
     return replace(realization, G=g_exact)
 
 
+def _clearly_controllable(q, p, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the PBH left-eigenvector test clearly finds ``(q, p)`` controllable.
+
+    With ``q = V diag(w) V^-1`` and every eigenvalue its own cluster under
+    :func:`is_controllable`'s rule, the left eigenvectors ``w_k`` are the
+    rows of ``V^-1``, and ``(q, p)`` is controllable exactly when no
+    ``w_k^H p`` vanishes (Hautus 1969), so one ``eig`` and one ``inv``
+    decide it. False means "not decided here": a non-finite ``q``, a
+    clustered spectrum, a singular ``V`` or a margin below the cutoff.
+    """
+    try:
+        w, v = np.linalg.eig(q)
+        left = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return False
+    gaps = np.abs(w[:, None] - w)
+    np.fill_diagonal(gaps, np.inf)
+    gap = gaps.min(axis=1)
+    abs_w = np.abs(w)
+    if not gap.min() > threshold(float(abs_w.max()), tol):
+        return False
+    # Why the cutoff is safe. Hautus calls (q, p) controllable when, at each
+    # eigenvalue w_k, sigma_min([q - w_k I, p]) exceeds threshold(sigma_max, tol),
+    # and sigma_max is at most |q|_F + |w_k| + |p|_F. For a unit left vector x
+    # at angle theta to the left null vector w_k / |w_k|,
+    #   |x^H (q - w_k I)| >= s_k sin(theta),  |x^H p| >= c_k cos(theta) - |p|_F sin(theta),
+    # where c_k = |w_k^H p| / |w_k| is the margin times |p|_F, and s_k = gap_k / kappa
+    # bounds the second-smallest singular value of q - w_k I = V (diag(w) - w_k I) V^-1
+    # from below, kappa = |V|_F |V^-1|_F. The larger of the two is smallest
+    # where they cross, so
+    #   sigma_min >= s_k c_k / sqrt((s_k + |p|_F)^2 + c_k^2) = bound_k.
+    # Accepting only bound_k > 2 threshold + slack, the slack covering the
+    # rounding of eig and inv (n eps kappa |[q, p]|), leaves Hautus nothing to
+    # reject. A non-finite p, overflow or a zero p makes a bound NaN or 0, which
+    # fails, and Hautus then gives the verdict or the error.
+    with np.errstate(all="ignore"):
+        p_norm = np.sqrt(np.vdot(p, p).real)
+        q_norm = np.sqrt(np.vdot(q, q).real)
+        left_sq = np.abs(left) ** 2
+        kappa = np.sqrt(np.vdot(v, v).real * left_sq.sum())
+        reach = np.sqrt((np.abs(left @ p) ** 2).sum(axis=1) / left_sq.sum(axis=1))
+        s = gap / kappa
+        bound = reach / np.sqrt((1.0 + p_norm / s) ** 2 + (reach / s) ** 2)
+        cutoff = (2.0 * tol * np.maximum(1.0, q_norm + abs_w + p_norm)
+                  + q.shape[0] * _EPS * kappa * (q_norm + p_norm))
+        return bool(np.all(bound > cutoff))
+
+
 def verify_constraints(realization: Realization, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Check a design against the structural constraints.
 
     Reports whether ``G`` is the passive diagonal form ``diag(d, d)``,
     whether exactly one designed dissipative channel is present, and
     whether the controllability rank condition holds for
-    ``Q = -i R Y + Y^-1 Gamma`` with the stored coupling seed.
+    ``Q = -i R Y + Y^-1 Gamma`` with the stored coupling seed. The rank
+    condition takes one ``eig`` of ``Q``: when its eigenvalues are distinct
+    and every left eigenvector clearly reaches the seed, the design is
+    controllable. Otherwise the general Hautus test
+    :func:`~gsynth.structure.is_controllable` decides, so the verdict is
+    always the one that test gives.
     """
     n = realization.n_modes
     g = realization.G
@@ -239,7 +298,9 @@ def verify_constraints(realization: Realization, tol: float = DEFAULT_TOL) -> Co
 
     y_inv = np.linalg.inv(realization.graph.Y)
     q = -1j * realization.R @ realization.graph.Y + y_inv @ realization.Gamma
-    rank_ok = is_controllable(q, realization.P, tol)
+    # a "not controllable" verdict always comes from the general Hautus test
+    rank_ok = (_clearly_controllable(q, realization.P, tol)
+               or is_controllable(q, realization.P, tol))
     if not rank_ok:
         violations.append(f"coupling seed does not reach all {n} modes (rank condition fails)")
 

@@ -491,6 +491,34 @@ def test_one_rank_test_per_command_at_tol(tmp_path, capsys, monkeypatch, command
     assert all(flags.values())
 
 
+@pytest.mark.parametrize("fixture", ["tms", "eight-mode"])
+def test_synthesize_decomposes_once(tmp_path, capsys, monkeypatch, fixture):
+    import gsynth.structure
+
+    if fixture == "tms":
+        state = write_tms(tmp_path)
+    else:
+        state = tmp_path / "eight.json"
+        save_graph(state, eight_mode_graph())
+    design = tmp_path / "design.json"
+    code, expected_out, _ = run(capsys, "synthesize", str(state), "-o", str(design))
+    expected_file = design.read_bytes()
+    calls = []
+    original = gsynth.structure.decompose
+
+    def counted(graph, tol=DEFAULT_TOL):
+        calls.append(tol)
+        return original(graph, tol)
+
+    for module in ("gsynth.cli", "gsynth.structure", "gsynth.synthesis"):
+        monkeypatch.setattr(f"{module}.decompose", counted)
+    design.unlink()
+    assert run(capsys, "synthesize", str(state), "-o", str(design)) == (code, expected_out, "")
+    assert code == 0
+    assert len(calls) == 1
+    assert design.read_bytes() == expected_file
+
+
 COLD_PATH = """
 import contextlib, io, json, sys
 import gsynth.cli

@@ -173,6 +173,91 @@ def test_solve_lyapunov_rejects_shapes():
         solve_lyapunov(-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_solve_lyapunov_rejects_non_finite_drift():
+    # a NaN or infinite drift is refused before the Schur form, with numpy's error
+    for bad in (np.nan, np.inf, -np.inf):
+        a = -np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="Array must not contain infs or NaNs"):
+            solve_lyapunov(a, np.eye(3))
+
+
+def test_solve_lyapunov_reads_hurwitz_off_schur_form(monkeypatch):
+    import gsynth.numerics
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_lyapunov must not take a second spectrum")
+
+    for name in ("is_hurwitz", "spectral_abscissa"):
+        monkeypatch.setattr(gsynth.numerics, name, forbidden)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    v = solve_lyapunov(-np.eye(2), np.eye(2))
+    assert_allclose(v, 0.5 * np.eye(2), atol=1e-14)
+    with pytest.raises(NotHurwitzError, match="not Hurwitz"):
+        solve_lyapunov(np.zeros((2, 2)), np.eye(2))
+
+
+def _hurwitz_guard_passes(a) -> bool:
+    try:
+        solve_lyapunov(a, np.eye(a.shape[0]))
+    except NotHurwitzError as exc:
+        # the residual check may still refuse a barely stable drift
+        return "not Hurwitz" not in str(exc)
+    return True
+
+
+def test_solve_lyapunov_hurwitz_guard_matches_is_hurwitz():
+    from gsynth.numerics import HURWITZ_TOL
+
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    drifts = [np.zeros((2, 2)), rotation]
+    rng = np.random.default_rng(71)
+    for _ in range(5):
+        # a complex pair and a real eigenvalue in a random orthogonal basis,
+        # one of them with real part just inside or just outside the guard
+        omega = rng.normal()
+        basis, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        for edge in (-HURWITZ_TOL * 0.9, -HURWITZ_TOL * 1.1):
+            for pair, single in ((edge, -1.0), (-1.0, edge)):
+                block = np.array([[pair, omega, 0.0], [-omega, pair, 0.0], [0.0, 0.0, single]])
+                drifts.append(basis @ block @ basis.T)
+    verdicts = [is_hurwitz(a) for a in drifts]
+    assert verdicts.count(True) and verdicts.count(False)
+    for a, verdict in zip(drifts, verdicts):
+        assert _hurwitz_guard_passes(a) == verdict
+
+
+def test_solve_lyapunov_trsyl_info(monkeypatch):
+    # scipy's handling of ?trsyl's info: an illegal argument raises, and a
+    # perturbed near-singular solve (info 1) is left to the residual check
+    real_get = scipy.linalg.get_lapack_funcs
+
+    def patched(info):
+        def get(names, arrays):
+            trsyl = real_get(names, arrays)
+            return lambda *args, **kwargs: (*trsyl(*args, **kwargs)[:2], info)
+        return get
+
+    a, d = -np.eye(2), np.eye(2)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched(-3))
+    with pytest.raises(ValueError, match="argument number 3"):
+        solve_lyapunov(a, d)
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched(1))
+    assert_allclose(solve_lyapunov(a, d), 0.5 * np.eye(2), atol=1e-14)
+
+
+def test_solve_lyapunov_matches_scipy_bitwise():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(1, 12))
+        a = rng.normal(size=(n, n))
+        a -= (spectral_abscissa(a) + 0.3) * np.eye(n)
+        b = rng.normal(size=(n, n))
+        d = b @ b.T
+        v = scipy.linalg.solve_continuous_lyapunov(a, -d)
+        assert np.array_equal(solve_lyapunov(a, d), 0.5 * (v + v.T))
+
+
 def test_expm_trivial():
     assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
     assert_allclose(expm(np.diag([-1.0, -2.0]), 1.0),

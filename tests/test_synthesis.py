@@ -363,3 +363,96 @@ def test_synthesize_at_supported_size_limit():
     assert verify_constraints(real).all_ok
     v = steady_state(build_moment_system(real.G, real.C))
     assert np.abs(v.V - graph_to_covariance(graph).V).max() < 1e-8
+
+
+def _design_q(real):
+    # the matrix verify_constraints rank-tests
+    return -1j * real.R @ real.graph.Y + np.linalg.inv(real.graph.Y) @ real.Gamma
+
+
+def test_verify_constraints_takes_no_svd_on_designs(monkeypatch):
+    # designed systems have a distinct spectrum and a clear margin, so the
+    # left-eigenvector test decides and Hautus (one SVD per eigenvalue) never runs
+    import gsynth.structure
+    from gsynth import BlockClass, assemble_graph
+    from gsynth.structure import XI_PHI
+    from conftest import random_phi_block
+
+    rng = np.random.default_rng(83)
+    designs = []
+    for n in (2, 6, 16, 32):
+        graph = assemble_graph([BlockClass(XI_PHI, random_phi_block(rng)) for _ in range(n // 2)])
+        designs.append(synthesize(graph))
+    designs.append(synthesize(eight_mode_graph()))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_constraints fell back to the Hautus test")
+
+    monkeypatch.setattr(gsynth.structure, "rank_tol", forbidden)
+    for real in designs:
+        assert verify_constraints(real).all_ok
+
+
+def test_rank_test_falls_back_to_hautus(monkeypatch):
+    # a clustered spectrum, a Jordan block or a seed that misses an eigenvector
+    # is left to is_controllable; the verdict matches the Krylov reference
+    import gsynth.synthesis
+    from gsynth import BlockClass, assemble_graph
+    from gsynth.structure import XI_PHI, is_controllable
+    from gsynth.synthesis import _clearly_controllable
+    from conftest import controllability_rank
+
+    rng = np.random.default_rng(89)
+    f = rng.normal(size=(3, 3))
+    scalar = f @ ((0.3 - 1.2j) * np.eye(3)) @ np.linalg.inv(f)
+    jordan = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
+    distinct = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    _, vecs = eig(distinct)
+    cases = [(scalar, np.ones(3)), (jordan, np.ones(3)), (jordan, np.eye(3)[0]),
+             (distinct, vecs[:, 0]), (distinct, vecs[:, :2] @ np.array([1.0, -0.5j]))]
+    for q, p in cases:
+        p = p.reshape(3, -1)
+        assert not _clearly_controllable(q, p)
+        assert is_controllable(q, p) == (controllability_rank(q, p) == 3)
+
+    # a one-mode seed on a two-pair design reaches one pair only
+    calls = []
+
+    def counted(q, p, tol):
+        calls.append(q)
+        return is_controllable(q, p, tol)
+
+    monkeypatch.setattr(gsynth.synthesis, "is_controllable", counted)
+    real = synthesize(assemble_graph([BlockClass(XI_PHI, pair_graph().Z),
+                                      BlockClass(XI_PHI, tms_graph(0.7).Z)]))
+    one_mode = real.P * 0.0
+    one_mode[0, 0] = 1.0
+    seeded = assemble_realization(real.graph, real.R, real.Gamma, one_mode)
+    report = verify_constraints(seeded)
+    assert len(calls) == 1
+    assert report.rank_condition == (controllability_rank(_design_q(seeded), one_mode) == 4)
+    assert not report.rank_condition
+    calls.clear()
+    assert verify_constraints(real).rank_condition
+    assert calls == []
+
+
+def test_rank_test_agrees_with_hautus():
+    # accepted and declined cases alike: the combined verdict is Hautus's
+    from gsynth.structure import is_controllable
+    from gsynth.synthesis import _clearly_controllable
+
+    rng = np.random.default_rng(97)
+    accepted = 0
+    for _ in range(60):
+        graph = random_feasible_graph(rng, max_pairs=8)
+        real = synthesize(graph)
+        q = _design_q(real)
+        n = q.shape[0]
+        for p in (real.P, rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1)),
+                  np.eye(n)[:, :1]):
+            for tol in (0.0, 1e-9, 1e-3):
+                fast = _clearly_controllable(q, p, tol)
+                accepted += fast
+                assert (fast or is_controllable(q, p, tol)) == is_controllable(q, p, tol)
+    assert accepted > 0
