@@ -95,15 +95,24 @@ class Trajectory:
 def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Trajectory:
     """Propagate the moment equations from ``v0`` (and ``mean0``, default 0).
 
-    Each gap ``h`` between samples (the first from ``t = 0``) is one exact
-    step ``mean <- Phi mean``, ``V <- Phi V Phi.T + Q`` with
-    ``Phi = exp(A h)`` and ``Q = int_0^h exp(A s) D exp(A.T s) ds``. Both
-    come from one Van Loan block exponential, so the propagation is exact
-    for unstable drift too.
+    A step of length ``h`` is ``mean <- Phi mean``,
+    ``V <- Phi V Phi.T + Q`` with ``Phi = exp(A h)`` and
+    ``Q = int_0^h exp(A s) D exp(A.T s) ds``. Both come from one Van Loan
+    block exponential, so the propagation is exact for unstable drift too.
+    The first sample is one step from ``t = 0``. On a uniform grid (every
+    ``times[k]`` within a few ulps of ``times[0] + k h``, as from
+    ``np.linspace``) the rest take one step for ``h`` and then
+    ``log2(m)`` doublings: the samples filled so far are advanced as one
+    batch by the current pair, which is then squared,
+    ``(Phi, Q) <- (Phi Phi, Phi Q Phi.T + Q)``. The flows of one drift
+    commute, so this is as accurate as stepping sample by sample. An
+    irregular grid takes one step per gap.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonnegative and ascending")
     n2 = system.A.shape[0]
@@ -114,18 +123,48 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
         raise DimensionError(f"initial mean must have length {n2}")
 
     steps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    v = v0.V
-    means, covs = [], []
-    for h in np.diff(times, prepend=0.0):
+
+    def step(h):
         if h not in steps:
             steps[h] = _van_loan_step(system, h)
-        phi, q = steps[h]
-        mean = phi @ mean
-        v = phi @ v @ phi.T + q
-        v = 0.5 * (v + v.T)
-        means.append(mean)
-        covs.append(v)
-    return Trajectory(times=times, means=np.stack(means), covariances=np.stack(covs))
+        return steps[h]
+
+    m = times.size
+    h = (times[-1] - times[0]) / max(m - 1, 1)
+    # np.linspace fills times[0] + k h, but sets the last sample to the
+    # endpoint, which can sit a few ulps away
+    if np.abs(times - (times[0] + h * np.arange(m))).max() > 4.0 * np.spacing(times[-1]):
+        v = v0.V
+        means, covs = [], []
+        for gap in np.diff(times, prepend=0.0):
+            phi, q = step(gap)
+            mean = phi @ mean
+            v = phi @ v @ phi.T + q
+            v = 0.5 * (v + v.T)
+            means.append(mean)
+            covs.append(v)
+        return Trajectory(times=times, means=np.stack(means), covariances=np.stack(covs))
+
+    means = np.empty((m, n2))
+    covs = np.empty((m, n2, n2))
+    phi, q = step(times[0])
+    means[0] = phi @ mean
+    v = phi @ v0.V @ phi.T + q
+    covs[0] = 0.5 * (v + v.T)
+    filled = 1
+    if m > 1:
+        phi, q = step(h)
+    while filled < m:
+        cnt = min(filled, m - filled)
+        v = phi @ covs[:cnt] @ phi.T + q
+        covs[filled:filled + cnt] = 0.5 * (v + v.transpose(0, 2, 1))
+        means[filled:filled + cnt] = means[:cnt] @ phi.T
+        filled += cnt
+        # squaring past the last sample is wasted and can overflow an unstable drift
+        if filled < m:
+            q = phi @ q @ phi.T + q
+            phi = phi @ phi
+    return Trajectory(times=times, means=means, covariances=covs)
 
 
 def _van_loan_step(system: MomentSystem, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +178,10 @@ def _van_loan_step(system: MomentSystem, h: float) -> tuple[np.ndarray, np.ndarr
     n2 = a.shape[0]
     # frexp's exponent is the least k with 2 ||A|| h < 2**k
     k = max(0, math.frexp(2.0 * np.linalg.norm(a, 1) * h)[1])
-    block = np.block([[-a, d], [np.zeros_like(a), a.T]])
+    block = np.zeros((2 * n2, 2 * n2))
+    block[:n2, :n2] = -a
+    block[:n2, n2:] = d
+    block[n2:, n2:] = a.T
     e = expm(block, h / 2.0 ** k)
     phi = e[n2:, n2:].T
     q = phi @ e[:n2, n2:]

@@ -36,9 +36,11 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
     """The canonical antisymmetric form ``[[0, I], [-I, 0]]`` for n modes."""
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
-    zero = np.zeros((n_modes, n_modes))
     eye = np.eye(n_modes)
-    return np.block([[zero, eye], [-eye, zero]])
+    sig = np.zeros((2 * n_modes, 2 * n_modes))
+    sig[:n_modes, n_modes:] = eye
+    sig[n_modes:, :n_modes] = -eye
+    return sig
 
 
 @dataclass(frozen=True)
@@ -154,9 +156,16 @@ def factor_covariance(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> GraphM
 
 def graph_to_covariance(graph: GraphMatrix) -> CovarianceMatrix:
     """Covariance matrix of the pure state labeled by ``graph``."""
+    n = graph.n_modes
     y_inv = np.linalg.inv(graph.Y)
     x = graph.X
-    v = 0.5 * np.block([[y_inv, y_inv @ x], [x @ y_inv, x @ y_inv @ x + graph.Y]])
+    xy = x @ y_inv
+    v = np.empty((2 * n, 2 * n))
+    v[:n, :n] = y_inv
+    v[:n, n:] = y_inv @ x
+    v[n:, :n] = xy
+    v[n:, n:] = xy @ x + graph.Y
+    v *= 0.5
     return CovarianceMatrix(0.5 * (v + v.T))
 
 

@@ -162,10 +162,13 @@ def build_G(x, y, r, gamma) -> NDArray[np.float64]:
         y_inv = np.linalg.inv(y)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("Y must be invertible") from exc
-    g11 = x @ r @ x + y @ r @ y - gamma @ y_inv @ x - x @ y_inv @ gamma.T
-    g12 = -x @ r + gamma @ y_inv
-    g21 = -r @ x + y_inv @ gamma.T
-    return np.block([[g11, g12], [g21, r]])
+    n = r.shape[0]
+    g = np.empty((2 * n, 2 * n))
+    g[:n, :n] = x @ r @ x + y @ r @ y - gamma @ y_inv @ x - x @ y_inv @ gamma.T
+    g[:n, n:] = -x @ r + gamma @ y_inv
+    g[n:, :n] = -r @ x + y_inv @ gamma.T
+    g[n:, n:] = r
+    return g
 
 
 def build_C(graph: GraphMatrix, p) -> NDArray[np.complex128]:
@@ -214,7 +217,10 @@ def _synthesize(graph: GraphMatrix, dec: BlockDecomposition, tol: float) -> Real
     p = vecs @ np.ones(graph.n_modes)
     p = (p / np.linalg.norm(p)).reshape(-1, 1)
     realization = assemble_realization(graph, r, gamma, p)
-    g_exact = np.block([[r, np.zeros_like(r)], [np.zeros_like(r), r]])
+    n = graph.n_modes
+    g_exact = np.zeros((2 * n, 2 * n))
+    g_exact[:n, :n] = r
+    g_exact[n:, n:] = r
     if max_abs(realization.G - g_exact) > threshold(max_abs(r), tol):
         raise InvalidRError("constructed Hamiltonian does not reduce to the passive diagonal form")
     return replace(realization, G=g_exact)

@@ -17,6 +17,7 @@ from gsynth import (
     factor_covariance,
     states,
 )
+from gsynth.dynamics import Trajectory, _van_loan_step
 from gsynth.errors import DimensionError, GsynthError
 from gsynth.noise import bath_channels
 from gsynth.numerics import DEFAULT_TOL, eig, max_abs, rank_tol, threshold
@@ -293,3 +294,31 @@ def find_cyclic_vector(q, tol: float = DEFAULT_TOL):
         if is_controllable(q, p, tol):
             return p
     raise DerogatoryMatrixError("no cyclic vector found within the search budget")
+
+
+# --- independent reference: the per-gap propagator, which ``evolve`` now
+# runs only on irregular grids ---
+
+def evolve_per_gap(system, v0, times, mean0=None) -> Trajectory:
+    """One Van Loan step per gap between samples (the first from ``t = 0``).
+
+    Steps are cached per distinct gap, keyed on the exact float, so a
+    ``np.linspace`` grid takes one step per ulp-distinct gap.
+    """
+    times = np.asarray(times, dtype=float)
+    n2 = system.A.shape[0]
+    mean = np.zeros(n2) if mean0 is None else np.asarray(mean0, dtype=float)
+
+    steps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    v = v0.V
+    means, covs = [], []
+    for h in np.diff(times, prepend=0.0):
+        if h not in steps:
+            steps[h] = _van_loan_step(system, h)
+        phi, q = steps[h]
+        mean = phi @ mean
+        v = phi @ v @ phi.T + q
+        v = 0.5 * (v + v.T)
+        means.append(mean)
+        covs.append(v)
+    return Trajectory(times=times, means=np.stack(means), covariances=np.stack(covs))

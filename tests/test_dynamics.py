@@ -6,10 +6,14 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from gsynth import (
+    BlockClass,
     CovarianceMatrix,
     DimensionError,
     GsynthError,
     NotHurwitzError,
+    Permutation,
+    assemble_graph,
+    augment,
     build_moment_system,
     evolve,
     factor_covariance,
@@ -23,7 +27,9 @@ from gsynth import (
     verify_generation,
 )
 from gsynth.numerics import spectral_abscissa
-from conftest import cluster_parts, pair_realization, tms_graph, tms_realization
+from gsynth.structure import LAMBDA, XI_PHI
+from conftest import (cluster_parts, evolve_per_gap, pair_realization, random_lambda_scalar,
+                      random_phi_block, standard_baths, tms_graph, tms_realization)
 from gsynth.synthesis import assemble_realization
 
 
@@ -177,10 +183,10 @@ def test_evolve_exact_when_unstable():
     assert_allclose(ms.D, 0.5 * np.eye(2), atol=1e-15)
     with pytest.raises(NotHurwitzError):
         steady_state(ms)
-    times = [0.0, 1.0, 2.0, 6.0]
-    traj = evolve(ms, states.vacuum(1), times)
-    for t, v in zip(times, traj.covariances):
-        assert_allclose(v, (np.exp(t) - 0.5) * np.eye(2), rtol=1e-12, atol=1e-15)
+    for times in ([0.0, 1.0, 2.0, 6.0], np.linspace(0.0, 6.0, 121)):
+        traj = evolve(ms, states.vacuum(1), times)
+        for t, v in zip(times, traj.covariances):
+            assert_allclose(v, (np.exp(t) - 0.5) * np.eye(2), rtol=1e-12, atol=1e-15)
 
 
 def test_evolve_one_long_step_reaches_steady_state():
@@ -199,6 +205,74 @@ def test_evolve_validates_times():
         evolve(ms, states.vacuum(1), [1.0, 0.5])
     with pytest.raises(ValueError):
         evolve(ms, states.vacuum(1), [-1.0, 0.5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(ms, states.vacuum(1), [0.0, bad])
+
+
+def _systems(n, rng):
+    """Designed, thermal and dissipator-off systems of one random n-mode design."""
+    blocks = [BlockClass(XI_PHI, random_phi_block(rng)) for _ in range(n // 2)]
+    if n % 2:
+        blocks.append(BlockClass(LAMBDA, random_lambda_scalar(rng)))
+    graph = assemble_graph(blocks, Permutation(tuple(int(k) for k in rng.permutation(n))))
+    real = synthesize(graph)
+    vacuum = states.vacuum(n)
+    return [(build_moment_system(real.G, real.C), vacuum),
+            (augment(real, standard_baths(n)), vacuum),
+            (build_moment_system(real.G, np.zeros((1, 2 * n))), graph_to_covariance(graph))]
+
+
+def _rel_error(actual, reference):
+    return np.abs(actual - reference).max() / np.abs(reference).max()
+
+
+UNIFORM_GRIDS = [np.linspace(0.0, 60.0, 121), np.linspace(0.0, 10.0, 201),
+                 np.linspace(2.5, 7.5, 11), [0.0], [3.0], [0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_evolve_uniform_grid_matches_per_gap_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for system, v0 in _systems(n, rng):
+        mean0 = rng.normal(size=2 * n)
+        for times in UNIFORM_GRIDS:
+            traj = evolve(system, v0, times, mean0=mean0)
+            ref = evolve_per_gap(system, v0, times, mean0=mean0)
+            assert_allclose(traj.times, ref.times, rtol=0, atol=0)
+            assert _rel_error(traj.covariances, ref.covariances) <= 1e-12
+            assert _rel_error(traj.means, ref.means) <= 1e-12
+            assert np.all(traj.covariances == traj.covariances.transpose(0, 2, 1))
+
+
+def test_evolve_irregular_grid_is_per_gap_reference_bitwise():
+    rng = np.random.default_rng(7)
+    jittered = np.linspace(0.0, 6.0, 121)
+    jittered[40] += 1e-6
+    grids = [[0.0, 10.0, 40.0, 60.0], [0.0, 0.4, 1.0, 7.5], jittered,
+             np.sort(rng.uniform(0.0, 20.0, 30))]
+    for n in (1, 2, 5):
+        for system, v0 in _systems(n, rng):
+            mean0 = rng.normal(size=2 * n)
+            for times in grids:
+                traj = evolve(system, v0, times, mean0=mean0)
+                ref = evolve_per_gap(system, v0, times, mean0=mean0)
+                assert traj.covariances.tobytes() == ref.covariances.tobytes()
+                assert traj.means.tobytes() == ref.means.tobytes()
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 6.0, 121), np.linspace(0.0, 10.0, 201)])
+def test_evolve_uniform_grid_takes_two_van_loan_steps(monkeypatch, times):
+    # one step from t = 0 to the first sample and one for the spacing; the
+    # per-gap propagator takes 9 and 10 steps on these grids
+    import gsynth.dynamics as dyn
+
+    calls = []
+    step = dyn._van_loan_step
+    monkeypatch.setattr(dyn, "_van_loan_step", lambda system, h: calls.append(h) or step(system, h))
+    real = tms_realization(0.7)
+    evolve(build_moment_system(real.G, real.C), states.vacuum(2), times)
+    assert len(calls) == 2
 
 
 def test_verify_generation_roundtrip():

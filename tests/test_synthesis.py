@@ -16,11 +16,12 @@ from gsynth import (
     decompose,
     graph_to_covariance,
     states,
+    symplectic_form,
     synthesize,
     verify_constraints,
 )
-from gsynth.dynamics import build_moment_system, steady_state
-from gsynth.numerics import eig
+from gsynth.dynamics import _van_loan_step, build_moment_system, steady_state
+from gsynth.numerics import eig, expm
 from conftest import (
     SQRT6_2,
     cluster_parts,
@@ -117,6 +118,38 @@ def test_build_G_reduces_to_passive_form():
     # trivial passive case
     assert_allclose(build_G(np.zeros((2, 2)), np.eye(2), np.diag([3.0, -2.0]), np.zeros((2, 2))),
                     np.diag([3.0, -2.0, 3.0, -2.0]), atol=0)
+
+
+def test_block_constructors_match_np_block_bitwise(monkeypatch):
+    # the block matrices are filled in place; np.block of the same pieces is the reference
+    import gsynth.dynamics as dyn
+
+    blocks = []
+    monkeypatch.setattr(dyn, "expm", lambda m, t: blocks.append(m) or expm(m, t))
+    rng = np.random.default_rng(2024)
+    graphs = [pair_graph(), tms_graph(0.7), eight_mode_graph(), cluster_parts(0.5).graph]
+    graphs += [random_feasible_graph(rng) for _ in range(100)]
+    for g in graphs:
+        n = g.n_modes
+        eye, zero = np.eye(n), np.zeros((n, n))
+        assert symplectic_form(n).tobytes() == np.block([[zero, eye], [-eye, zero]]).tobytes()
+        x, y, y_inv = g.X, g.Y, np.linalg.inv(g.Y)
+        v = 0.5 * np.block([[y_inv, y_inv @ x], [x @ y_inv, x @ y_inv @ x + y]])
+        assert graph_to_covariance(g).V.tobytes() == (0.5 * (v + v.T)).tobytes()
+        if not decompose(g).feasible:
+            continue
+        real = synthesize(g)
+        r, gamma = real.R, real.Gamma
+        assert real.G.tobytes() == np.block([[r, zero], [zero, r]]).tobytes()
+        expected = np.block([
+            [x @ r @ x + y @ r @ y - gamma @ y_inv @ x - x @ y_inv @ gamma.T,
+             -x @ r + gamma @ y_inv],
+            [-r @ x + y_inv @ gamma.T, r]])
+        assert build_G(x, y, r, gamma).tobytes() == expected.tobytes()
+        system = build_moment_system(real.G, real.C)
+        a, d = system.A, system.D
+        _van_loan_step(system, 0.5)
+        assert blocks[-1].tobytes() == np.block([[-a, d], [np.zeros_like(a), a.T]]).tobytes()
 
 
 def test_build_G_cluster_matches_reference_hamiltonian():
