@@ -156,7 +156,10 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
         phi, q = step(h)
     while filled < m:
         cnt = min(filled, m - filled)
-        v = phi @ covs[:cnt] @ phi.T + q
+        # one matrix product each over the stacked batch: W = V Phi.T, then
+        # W.T Phi.T = (Phi V Phi.T).T, which the symmetrization below absorbs
+        w = (covs[:cnt].reshape(-1, n2) @ phi.T).reshape(cnt, n2, n2)
+        v = (w.transpose(0, 2, 1).reshape(-1, n2) @ phi.T).reshape(cnt, n2, n2) + q
         covs[filled:filled + cnt] = 0.5 * (v + v.transpose(0, 2, 1))
         means[filled:filled + cnt] = means[:cnt] @ phi.T
         filled += cnt
@@ -172,10 +175,13 @@ def _van_loan_step(system: MomentSystem, h: float) -> tuple[np.ndarray, np.ndarr
 
     The block exponential holds ``exp(-A h)``, which overflows over long
     spans, so it is taken at ``h / 2**k`` with ``||A h / 2**k|| <= 1/2``
-    and the pair is doubled ``k`` times.
+    and the pair is doubled ``k`` times. ``h = 0`` gives ``(I, 0)``
+    exactly, with no exponential.
     """
     a, d = system.A, system.D
     n2 = a.shape[0]
+    if h == 0.0:
+        return np.eye(n2), np.zeros((n2, n2))
     # frexp's exponent is the least k with 2 ||A|| h < 2**k
     k = max(0, math.frexp(2.0 * np.linalg.norm(a, 1) * h)[1])
     block = np.zeros((2 * n2, 2 * n2))

@@ -1,16 +1,16 @@
 """Dense real/complex matrix substrate and the tolerance policy.
 
 Everything here targets small dense problems (matrix dimension at most 64):
-eigendecomposition, toleranced rank, a Bartels-Stewart Lyapunov solve whose
-Hurwitz guard reads the real Schur form it solves with, matrix exponentials
-and permutation bookkeeping. All functions are pure and safe to call
+eigendecomposition, toleranced rank, a Lyapunov solve by diagonalization
+with Bartels-Stewart as its certified fallback, matrix exponentials and
+permutation bookkeeping. All functions are pure and safe to call
 concurrently.
 
-Only :func:`solve_lyapunov` and :func:`expm` need scipy, and each imports
-``scipy.linalg`` when it is called. Importing this module, or the package
-and its command line, loads numpy alone, so a command decided by factoring
-and the block certificate (``analyze``, ``feasible``, an infeasible
-``synthesize``) never pays scipy's import time.
+Only the Bartels-Stewart fallback of :func:`solve_lyapunov` needs scipy,
+and it imports ``scipy.linalg`` when it runs. The eigenbasis solve and
+:func:`expm` (Higham's scaling and squaring Pade) use numpy alone, so
+importing the package or its command line, and running any command on a
+drift with a well-conditioned eigenbasis, loads no scipy module.
 
 Tolerance policy: a residual ``err`` of a structural test on data of scale
 ``s`` (the max-norm of the entries it came from) counts as zero when
@@ -25,6 +25,7 @@ that do not follow the rule yet are listed in :func:`threshold`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,22 +46,32 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+#: Smallest tolerance :func:`threshold` applies. A residual within a few
+#: ulps of its scale is rounding, so ``tol = 0`` asks for equality up to
+#: rounding, which a computed graph or covariance can meet.
+TOL_FLOOR = 16.0 * np.finfo(float).eps
+
+
 def threshold(scale, tol: float = DEFAULT_TOL) -> float:
     """The zero threshold ``tol * max(1, scale)`` for data of max-norm ``scale``.
 
-    Every scaled structural test compares its residual with this value.
-    Exceptions, which keep their own arithmetic for now:
+    ``tol`` below :data:`TOL_FLOOR` counts as ``TOL_FLOOR``. Every scaled
+    structural test compares its residual with this value. Exceptions,
+    which keep their own arithmetic for now:
 
     * ``structure.decompose``'s scalar test ``|z - i| > tol`` (absolute);
-    * ``CovarianceMatrix.is_pure``, ``|det(V) 4**N - 1| <= tol`` (absolute);
+    * ``CovarianceMatrix.is_pure``, ``|det(V) 4**N - 1|`` against
+      ``threshold(1, tol)`` or the determinant's rounding floor, whichever
+      is larger;
     * the fixed bounds ``HURWITZ_TOL``, ``gaussian.POSDEF_TOL`` and
       ``gaussian.PHYSICALITY_TOL`` (absolute);
     * ``dynamics.MomentSystem``'s positive-semidefinite floor ``-1e-10``
       (absolute);
-    * the Lyapunov residual bound in :func:`solve_lyapunov` (Frobenius
-      norms, relative with no floor).
+    * the Lyapunov residual bounds in :func:`solve_lyapunov` (Frobenius
+      norms, relative with no floor): ``16 n eps`` to accept the eigenbasis
+      answer, 1e-10 to refuse Bartels-Stewart's.
     """
-    return tol * max(1.0, scale)
+    return max(tol, TOL_FLOOR) * max(1.0, scale)
 
 
 def symmetrized(m, name: str, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -135,15 +146,22 @@ def is_hurwitz(a) -> bool:
 def solve_lyapunov(a, d) -> NDArray[np.float64]:
     """Solve ``a @ v + v @ a.T + d = 0`` for symmetric ``v``.
 
-    Bartels-Stewart on one real Schur form ``a = u t u.T``, importing
-    ``scipy.linalg`` on the first call. In LAPACK's standardized real Schur
-    form ``diag(t)`` holds the real part of every eigenvalue, so the Hurwitz
-    guard (the same ``-HURWITZ_TOL`` bound as :func:`is_hurwitz`) reads it
-    from ``t`` and no separate eigenvalue solve runs; LAPACK's ``?trsyl``
-    then solves the triangular equation. The noise matrix is checked and
-    symmetrized by :func:`symmetrized`, the output is symmetrized before
-    being returned, and a relative residual check rejects an
-    ill-conditioned solution.
+    Diagonalization first, with numpy alone: one ``np.linalg.eig(a) =
+    (w, s)``. When the spectral abscissa is below ``-HURWITZ_TOL`` by more
+    than the rounding of the spectrum and ``s`` inverts, the equation is
+    diagonal in the eigenbasis, ``y_ij = -(s^-1 d s^-H)_ij / (w_i +
+    conj(w_j))``, and ``v = Re(s y s^H)``, symmetrized. That answer is
+    returned only when its relative residual ``||a v + v a.T + d|| / (||a||
+    ||v|| + ||d||)`` (Frobenius norms) is at most ``16 n eps``.
+
+    Every other case goes to Bartels-Stewart (:func:`_bartels_stewart`),
+    whose answer is bitwise scipy's ``solve_continuous_lyapunov``: a
+    non-finite ``d``, a clustered or defective spectrum, a singular or
+    ill-conditioned ``s``, a residual above the bound, and an abscissa at or
+    near the guard. So every :class:`NotHurwitzError` and every
+    ill-conditioned verdict comes from the real Schur form, and only this
+    fallback imports ``scipy.linalg``. The noise matrix is checked and
+    symmetrized by :func:`symmetrized`.
 
     Raises
     ------
@@ -163,6 +181,50 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     d = symmetrized(d, "noise matrix")
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    v = _modal_lyapunov(a, d)
+    return _bartels_stewart(a, d) if v is None else v
+
+
+def _modal_lyapunov(a: np.ndarray, d: np.ndarray) -> NDArray[np.float64] | None:
+    """The eigenbasis solution of ``a v + v a.T + d = 0``, or None to fall back."""
+    n = a.shape[0]
+    eps = np.finfo(float).eps
+    w, s = np.linalg.eig(a)
+    try:
+        s_inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        return None
+    norm_a = np.linalg.norm(a)
+    # Bauer-Fike: rounding moves a computed eigenvalue by about
+    # kappa(s) n eps ||a|| at most (||s|| = sqrt(n), its columns have unit
+    # norm), so past this margin the Schur form's guard passes too
+    margin = np.sqrt(n) * np.linalg.norm(s_inv) * n * eps * norm_a
+    if not w.real.max() + margin < -HURWITZ_TOL:
+        return None
+    y = (s_inv @ d @ s_inv.conj().T) / -(w[:, None] + w.conj()[None, :])
+    v = (s @ y @ s.conj().T).real
+    v = 0.5 * (v + v.T)
+    residual = np.linalg.norm(a @ v + v @ a.T + d)
+    # Forming a v + v a.T rounds each entry by about n eps ||a|| ||v||, so
+    # an exact answer reads about 2 n eps (benchmark designs, their thermal
+    # variants and bath-only drifts at n = 4..64 read at most that). 8 times
+    # it, 16 n eps, is 2.3e-13 at n = 64: over 400 times below the 1e-10
+    # at which Bartels-Stewart's answer is refused. A NaN residual fails.
+    if residual <= 16.0 * n * eps * (norm_a * np.linalg.norm(v) + np.linalg.norm(d)):
+        return v
+    return None
+
+
+def _bartels_stewart(a: np.ndarray, d: np.ndarray) -> NDArray[np.float64]:
+    """Bartels-Stewart on one real Schur form ``a = u t u.T``, bitwise scipy's.
+
+    In LAPACK's standardized real Schur form ``diag(t)`` holds the real
+    part of every eigenvalue, so the Hurwitz guard (the same
+    ``-HURWITZ_TOL`` bound as :func:`is_hurwitz`) reads it from ``t``;
+    LAPACK's ``?trsyl`` then solves the triangular equation. The output is
+    symmetrized, and a relative residual above 1e-10 rejects an
+    ill-conditioned solution. The one place the package imports scipy.
+    """
     import scipy.linalg
 
     t, u = scipy.linalg.schur(a, output="real")
@@ -193,15 +255,77 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     return v
 
 
+# Higham (2005), "The scaling and squaring method for the matrix exponential
+# revisited": the [m/m] Pade numerator coefficients b_0 .. b_m, split into
+# the even and odd ones, and the largest 1-norm theta_m at which degree m
+# meets double precision unscaled.
+_PADE = {
+    m: (np.array(b[0::2]), np.array(b[1::2]))
+    for m, b in {
+        3: (120.0, 60.0, 12.0, 1.0),
+        5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+        7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+        9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+            2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+        13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+             1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+             33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0),
+    }.items()
+}
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152e0
+
+
 def expm(a, t: float = 1.0) -> NDArray[np.float64]:
-    """Matrix exponential ``exp(a * t)`` via scaling-and-squaring with Pade.
+    """Matrix exponential ``exp(a * t)`` by scaling and squaring with Pade.
 
-    Calls ``scipy.linalg.expm``, importing ``scipy.linalg`` on the first call.
+    Higham (2005), in numpy alone: the degree is the least of 3, 5, 7 and 9
+    whose bound ``theta_m`` the 1-norm of ``a t`` meets. Above ``theta_9``
+    the matrix is scaled by ``2**-s`` into ``theta_13``, the degree-13
+    approximant is taken, and the result is squared ``s`` times.
     """
-    import scipy.linalg
+    a = _require_square(np.asarray(a)) * t
+    norm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
+    for m, theta in _THETA:
+        if norm <= theta:
+            return _pade(a, m)
+    s = max(0, math.frexp(norm / _THETA_13)[1])
+    r = _pade(a * 2.0 ** -s, 13)
+    for _ in range(s):
+        r = r @ r
+    return r
 
-    a = _require_square(np.asarray(a))
-    return scipy.linalg.expm(a * t)
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """The degree-``m`` Pade approximant ``(v - u)^-1 (v + u)`` of ``exp(a)``.
+
+    ``u`` holds the odd and ``v`` the even terms of the numerator; each sum
+    over the stacked even powers ``a**2, a**4, ...`` is one matrix-vector
+    product, and degree 13 nests them in ``a**6`` as Higham does.
+    """
+    even, odd = _PADE[m]
+    n = a.shape[0]
+    k = 3 if m == 13 else (m - 1) // 2
+    powers = np.empty((k, n, n), dtype=np.result_type(a, float))
+    np.matmul(a, a, out=powers[0])
+    if k > 1:
+        np.matmul(powers[0], powers[0], out=powers[1])
+    if k > 2:
+        np.matmul(powers[1], powers[0], out=powers[2])
+    if k > 3:
+        np.matmul(powers[1], powers[1], out=powers[3])
+    flat = powers.reshape(k, n * n)
+    if m == 13:
+        u = powers[2] @ (odd[4:] @ flat).reshape(n, n) + (odd[1:4] @ flat).reshape(n, n)
+        v = powers[2] @ (even[4:] @ flat).reshape(n, n) + (even[1:4] @ flat).reshape(n, n)
+    else:
+        u = (odd[1:] @ flat).reshape(n, n)
+        v = (even[1:] @ flat).reshape(n, n)
+    u.flat[:: n + 1] += odd[0]
+    v.flat[:: n + 1] += even[0]
+    u = a @ u
+    return np.linalg.solve(v - u, v + u)
 
 
 @dataclass(frozen=True)

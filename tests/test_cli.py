@@ -523,38 +523,69 @@ COLD_PATH = """
 import contextlib, io, json, sys
 import gsynth.cli
 
-good, bad, design = sys.argv[1:4]
-seen = {"import": [None, "scipy" in sys.modules]}
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+good, bad, out = sys.argv[1:4]
+design, noisy = out + "/design.json", out + "/noisy.json"
+seen = {"import": [None, scipy_loaded()]}
 for name, argv in (("analyze", ["analyze", good]),
                    ("feasible", ["feasible", good]),
                    ("feasible infeasible", ["feasible", bad]),
                    ("synthesize infeasible", ["synthesize", bad]),
-                   ("synthesize", ["synthesize", good, "-o", design])):
+                   ("synthesize", ["synthesize", good, "-o", design]),
+                   ("verify", ["verify", design, good]),
+                   ("simulate", ["simulate", design, "--t-max", "6", "--steps", "13"]),
+                   ("thermal", ["thermal", design, "--gamma", "0.01", "--nbar", "10",
+                                "--emit", noisy]),
+                   ("simulate thermal", ["simulate", noisy, "--steps", "5"])):
     with contextlib.redirect_stdout(io.StringIO()):
         code = gsynth.cli.main(argv)
-    seen[name] = [code, "scipy" in sys.modules]
+    seen[name] = [code, scipy_loaded()]
 print(json.dumps(seen))
 """
 
 
 def test_cold_path_does_not_load_scipy(tmp_path):
-    # analyze, feasible and an infeasible synthesize are decided without a
-    # Lyapunov solve, so a fresh process running them never imports scipy
-    good, bad, design = tmp_path / "tms.json", tmp_path / "cluster.json", tmp_path / "d.json"
-    save_covariance(good, states.two_mode_squeezed(0.7))
+    # every command, including a feasible synthesize and the steady-state
+    # and propagation work of verify, simulate and thermal, runs on numpy
+    # alone: the eigenbasis Lyapunov solve and the numpy Pade exponential
+    bad = tmp_path / "cluster.json"
     save_covariance(bad, cluster_parts(0.5).cov)
     env = {**os.environ, "PYTHONPATH": str(Path(gsynth.__file__).resolve().parents[1])}
     env.pop("GSYNTH_TOL", None)
-    proc = subprocess.run([sys.executable, "-c", COLD_PATH, str(good), str(bad), str(design)],
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen == {
-        "import": [None, False],
-        "analyze": [0, False],
-        "feasible": [0, False],
-        "feasible infeasible": [2, False],
-        "synthesize infeasible": [2, False],
-        "synthesize": [0, True],
-    }
-    realization, _ = load_realization(design)
-    assert realization.n_channels == 1
+    for name, cov in (("tms", states.two_mode_squeezed(0.7)),
+                      ("eight-mode", graph_to_covariance(eight_mode_graph()))):
+        out = tmp_path / name
+        out.mkdir()
+        good = out / "good.json"
+        save_covariance(good, cov)
+        proc = subprocess.run([sys.executable, "-c", COLD_PATH, str(good), str(bad), str(out)],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        seen = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert seen == {
+            "import": [None, False],
+            "analyze": [0, False],
+            "feasible": [0, False],
+            "feasible infeasible": [2, False],
+            "synthesize infeasible": [2, False],
+            "synthesize": [0, False],
+            "verify": [0, False],
+            "simulate": [0, False],
+            "thermal": [0, False],
+            "simulate thermal": [0, False],
+        }, name
+        realization, _ = load_realization(out / "design.json")
+        assert realization.n_channels == 1
+
+
+def test_feasible_at_zero_tolerance(tmp_path, capsys):
+    # tol = 0 means equality up to rounding: the pure tms state is pure and
+    # its coupled pair passes the membership test
+    tms = write_tms(tmp_path)
+    code, out, _ = run(capsys, "feasible", str(tms), "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["certificate"]["feasible"] is True
+    code, out, _ = run(capsys, "analyze", str(tms), "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["pure"] is True

@@ -72,6 +72,41 @@ def test_factor_rejects_impure():
         factor_covariance(CovarianceMatrix(THERMAL_TMS_V))
 
 
+@pytest.mark.parametrize("alpha", [4.5, 5.0, 6.0])
+def test_factor_strongly_squeezed_pure_state(alpha):
+    # |det(V) 4**N - 1| reads 3.8e-9 at alpha = 4.5, above tol = 1e-9, but
+    # below the determinant's rounding floor, so the state is pure
+    cov = states.two_mode_squeezed(alpha)
+    residual, floor = cov.purity_residual()
+    assert 1e-9 < residual <= floor
+    graph = factor_covariance(cov)
+    # the round trip loses about eps ||V|| ||V^-1||, the same rounding floor
+    back = graph_to_covariance(graph).V
+    assert np.abs(back - cov.V).max() <= floor * np.abs(cov.V).max()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 2.0, 4.5])
+def test_slightly_mixed_state_stays_mixed(alpha):
+    # (1 + d) V_pure has residual about 4 d; at d = 1e-3 that is far above
+    # the floor, which must not absorb it (dividing by ||V||**2 would)
+    mixed = CovarianceMatrix(1.001 * states.two_mode_squeezed(alpha).V)
+    assert not mixed.is_pure(1e-9)
+    with pytest.raises(NotPureStateError) as info:
+        factor_covariance(mixed, 1e-9)
+    # the message names the floor exactly when the floor set the bound
+    assert ("rounding floor" in str(info.value)) == (mixed.purity_residual()[1] > 1e-9)
+    assert ("rounding floor" in str(info.value)) == (alpha == 4.5)
+
+
+def test_pure_states_pass_at_zero_tolerance():
+    # tol = 0 asks for purity up to rounding, which computed states meet
+    for cov in (states.vacuum(3), states.two_mode_squeezed(0.7), pair_cov(),
+                graph_to_covariance(eight_mode_graph())):
+        assert cov.is_pure(0.0)
+        factor_covariance(cov, 0.0)
+    assert not CovarianceMatrix(THERMAL_TMS_V).is_pure(0.0)
+
+
 def test_graph_to_covariance_vacuum():
     cov = graph_to_covariance(GraphMatrix.vacuum(4))
     assert_allclose(cov.V, 0.5 * np.eye(8), atol=0)
@@ -116,6 +151,14 @@ def test_purity_values():
 def test_symplectic_eigenvalues_vacuum_and_thermal():
     assert_allclose(symplectic_eigenvalues(states.vacuum(3).V), 0.5 * np.ones(3), atol=1e-12)
     assert_allclose(symplectic_eigenvalues(10.5 * np.eye(4)), [10.5, 10.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, rtol", [(6.0, 1e-6), (9.0, 0.1)])
+def test_symplectic_eigenvalues_strongly_squeezed(alpha, rtol):
+    # eigvals(i Sigma V) rounds at the scale of V's entries (1.6e7 at
+    # alpha = 9), not at that of the moduli (0.5), so the pairs are accepted
+    nus = symplectic_eigenvalues(states.two_mode_squeezed(alpha).V)
+    assert_allclose(nus, [0.5, 0.5], rtol=rtol)
 
 
 def test_log_negativity_two_mode_squeezed():

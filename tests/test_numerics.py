@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gsynth import (
@@ -23,12 +25,14 @@ from gsynth import (
     rank_tol,
     solve_lyapunov,
     spectral_abscissa,
+    synthesize,
     verify_constraints,
 )
 from gsynth.dynamics import build_moment_system
+from gsynth.noise import augment
 from gsynth.fileio import load_state_file
 from gsynth.numerics import symmetrized, threshold
-from conftest import cluster_parts, tms_graph
+from conftest import cluster_parts, random_feasible_graph, standard_baths, tms_graph
 
 
 def test_eig_diagonal():
@@ -227,9 +231,17 @@ def test_solve_lyapunov_hurwitz_guard_matches_is_hurwitz():
         assert _hurwitz_guard_passes(a) == verdict
 
 
+def _schur_path_only(monkeypatch):
+    """Refuse every eigenbasis answer, so each solve runs Bartels-Stewart."""
+    import gsynth.numerics
+
+    monkeypatch.setattr(gsynth.numerics, "_modal_lyapunov", lambda a, d: None)
+
+
 def test_solve_lyapunov_trsyl_info(monkeypatch):
     # scipy's handling of ?trsyl's info: an illegal argument raises, and a
     # perturbed near-singular solve (info 1) is left to the residual check
+    _schur_path_only(monkeypatch)
     real_get = scipy.linalg.get_lapack_funcs
 
     def patched(info):
@@ -246,7 +258,9 @@ def test_solve_lyapunov_trsyl_info(monkeypatch):
     assert_allclose(solve_lyapunov(a, d), 0.5 * np.eye(2), atol=1e-14)
 
 
-def test_solve_lyapunov_matches_scipy_bitwise():
+def test_solve_lyapunov_matches_scipy_bitwise(monkeypatch):
+    # the Bartels-Stewart fallback returns scipy's bits
+    _schur_path_only(monkeypatch)
     rng = np.random.default_rng(29)
     for _ in range(20):
         n = int(rng.integers(1, 12))
@@ -256,6 +270,54 @@ def test_solve_lyapunov_matches_scipy_bitwise():
         d = b @ b.T
         v = scipy.linalg.solve_continuous_lyapunov(a, -d)
         assert np.array_equal(solve_lyapunov(a, d), 0.5 * (v + v.T))
+
+
+def _scipy_lyapunov(a, d):
+    v = scipy.linalg.solve_continuous_lyapunov(a, -d)
+    return 0.5 * (v + v.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), thermal=st.booleans())
+def test_solve_lyapunov_matches_scipy_on_designs(seed, thermal):
+    # designs of random feasible graphs, and the same designs with a thermal
+    # bath on every mode: the eigenbasis answer within rounding of scipy's
+    rng = np.random.default_rng(seed)
+    real = synthesize(random_feasible_graph(rng, max_pairs=8))
+    if thermal:
+        system = augment(real, standard_baths(real.graph.n_modes))
+    else:
+        system = build_moment_system(real.G, real.C)
+    v = solve_lyapunov(system.A, system.D)
+    expected = _scipy_lyapunov(system.A, system.D)
+    assert np.array_equal(v, v.T)
+    assert np.abs(v - expected).max() <= 1e-11 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_solve_lyapunov_falls_back_near_defective(monkeypatch, n):
+    # a Jordan block with its corner perturbed by 10**-k has an eigenbasis of
+    # condition about 10**(k (n-1) / n); past the modal residual bound the
+    # fallback runs and returns scipy's bits
+    import gsynth.numerics
+
+    calls = []
+    schur = gsynth.numerics._bartels_stewart
+    monkeypatch.setattr(gsynth.numerics, "_bartels_stewart",
+                        lambda a, d: calls.append(1) or schur(a, d))
+    d = np.eye(n)
+    for k in range(2, 15, 2):
+        a = -np.eye(n) + np.diag(np.ones(n - 1), 1)
+        a[-1, 0] = 10.0 ** -k
+        before = len(calls)
+        v = solve_lyapunov(a, d)
+        expected = _scipy_lyapunov(a, d)
+        if len(calls) > before:
+            assert np.array_equal(v, expected)
+        else:
+            assert np.abs(v - expected).max() <= 1e-11 * np.abs(expected).max()
+    # from k = 4 on the eigenbasis is too ill-conditioned for the bound
+    assert len(calls) == 6
 
 
 def test_expm_trivial():
@@ -279,6 +341,65 @@ def test_expm_against_eigendecomposition():
     w, q = np.linalg.eigh(a)
     for t in (0.3, 1.0, 2.5):
         assert_allclose(expm(a, t), q @ np.diag(np.exp(w * t)) @ q.T, rtol=1e-11, atol=1e-11)
+
+
+def _expm_rel_error(actual, reference) -> float:
+    return float(np.abs(actual - reference).sum(axis=0).max()
+                 / np.abs(reference).sum(axis=0).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 128), log_norm=st.floats(-3.0, 3.0),
+       kind=st.sampled_from(["real", "skew", "complex"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_expm_matches_scipy(n, log_norm, kind, seed):
+    # scipy's expm is the oracle, at 1e-13 relative (1-norm) for a unit
+    # 1-norm; above it the bound grows with ||a||, the least relative
+    # condition number of the exponential, for a 1-ulp change in ``a`` moves
+    # exp(a) by that many ulps. Where scipy and expm still differ more, a
+    # 40-digit exponential decides, and expm must be the closer one or within
+    # the bound of it: scipy's own error reaches 1.6e-12 on some 2 x 2 cases.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    if kind == "skew":
+        a = a - a.T
+    elif kind == "complex":
+        a = a + 1j * rng.normal(size=(n, n))
+    norm = np.abs(a).sum(axis=0).max()
+    assume(norm > 0)
+    a *= 10.0 ** log_norm / norm
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        expected = scipy.linalg.expm(a)
+        actual = expm(a)
+    assume(np.isfinite(expected).all() and np.abs(expected).max() < 1e300)
+    bound = 1e-13 * max(1.0, 10.0 ** log_norm)
+    error = _expm_rel_error(actual, expected)
+    if error > bound:
+        assert n <= 16, f"expm differs from scipy by {error:.2e} at n = {n}"
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+        assert _expm_rel_error(actual, exact) <= max(bound, _expm_rel_error(expected, exact))
+
+
+def test_expm_picks_pade_degree_by_norm(monkeypatch):
+    # Higham's theta table: degrees 3, 5, 7, 9 unscaled, then 13 with 2**s scaling
+    import gsynth.numerics
+
+    seen = []
+    pade = gsynth.numerics._pade
+    monkeypatch.setattr(gsynth.numerics, "_pade", lambda a, m: seen.append(m) or pade(a, m))
+    rng = np.random.default_rng(41)
+    a = rng.normal(size=(6, 6))
+    a /= np.abs(a).sum(axis=0).max()
+    for norm, degree in ((1e-2, 3), (0.2, 5), (0.9, 7), (2.0, 9), (5.0, 13), (40.0, 13)):
+        expm(a, norm)
+        assert seen[-1] == degree
+    squarings = []
+    monkeypatch.setattr(gsynth.numerics, "_pade", lambda a, m: squarings.append(
+        np.abs(a).sum(axis=0).max()) or pade(a, m))
+    expm(a, 40.0)
+    # 40 / 2**3 = 5 is within theta_13 = 5.37
+    assert squarings == [pytest.approx(5.0)]
 
 
 def test_involution_spectrum_and_diagonalizability():
