@@ -15,18 +15,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GsynthError, NotHurwitzError
+from .errors import DimensionError, GsynthError, InvalidDiffusionError, NotHurwitzError
 from .gaussian import CovarianceMatrix, purity, symplectic_form
-from .numerics import DEFAULT_TOL, expm, max_abs, solve_lyapunov, symmetrized, threshold
+from .numerics import (
+    DEFAULT_TOL,
+    HURWITZ_TOL,
+    expm,
+    least_eigenvalue_unless_above,
+    max_abs,
+    solve_lyapunov,
+    solves_lyapunov,
+    symmetrized,
+    threshold,
+)
 from .synthesis import Realization, ConstraintReport, verify_constraints
 
 #: Hard bound on the imaginary residue tolerated when forming the diffusion matrix.
 DIFFUSION_IMAG_TOL = 1e-12
 
+#: Eigenvalue slack of the diffusion matrix's positive semidefiniteness, at
+#: the scale of its entries (see :func:`gsynth.numerics.threshold`).
+DIFFUSION_PSD_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """Drift ``A`` and diffusion ``D`` of the moment equations."""
+    """Drift ``A`` and diffusion ``D`` of the moment equations.
+
+    ``D`` must be symmetric and positive semidefinite: its eigenvalues may
+    fall no lower than ``-threshold(max|D|, DIFFUSION_PSD_TOL)``. A Cholesky
+    factorization of ``D`` shifted by that floor accepts; only when it
+    fails does ``eigvalsh`` decide, and a rejection raises
+    :class:`InvalidDiffusionError`.
+    """
 
     A: np.ndarray
     D: np.ndarray
@@ -39,8 +60,12 @@ class MomentSystem:
         if d.shape != a.shape:
             raise DimensionError("diffusion shape must match the drift")
         d = symmetrized(d, "diffusion matrix", tol=1e-12)
-        if np.linalg.eigvalsh(d).min() < -1e-10:
-            raise ValueError("diffusion matrix must be positive semidefinite")
+        floor = threshold(max_abs(d), DIFFUSION_PSD_TOL)
+        least = least_eigenvalue_unless_above(d, -floor)
+        if least is not None and least < -floor:
+            raise InvalidDiffusionError(
+                f"diffusion matrix must be positive semidefinite (min eigenvalue {least:.3e})"
+            )
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "D", d)
 
@@ -56,6 +81,11 @@ def build_moment_system(g, c) -> MomentSystem:
     matrix indicates a malformed coupling and raises instead of being
     silently discarded.
     """
+    return MomentSystem(*_moment_matrices(g, c))
+
+
+def _moment_matrices(g, c) -> tuple[np.ndarray, np.ndarray]:
+    """Unvalidated ``(A, D)`` of :func:`build_moment_system`; ``c`` may have no rows."""
     g = np.asarray(g, dtype=float)
     c = np.atleast_2d(np.asarray(c, dtype=complex))
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
@@ -71,16 +101,69 @@ def build_moment_system(g, c) -> MomentSystem:
         raise GsynthError(
             f"diffusion matrix has imaginary residue {max_abs(d.imag):.3e}; coupling is malformed"
         )
-    return MomentSystem(A=a, D=d.real)
+    return a, d.real
 
 
 def steady_state(system: MomentSystem) -> CovarianceMatrix:
     """Unique steady-state covariance of a stable moment system.
 
-    Raises ``NotHurwitzError`` (from ``solve_lyapunov``) when the drift is
-    not Hurwitz.
+    A system whose drift and diffusion have no entry outside the per-mode
+    ``(q_j, p_j)`` 2 x 2 blocks, such as a passive diagonal Hamiltonian
+    under thermal baths alone, splits into N independent 2 x 2 Lyapunov
+    equations. They are solved in closed form as one batch
+    (:func:`_per_mode_lyapunov`). Every other system, and a per-mode
+    answer that fails the residual bound of :func:`solves_lyapunov`, goes
+    to :func:`solve_lyapunov`.
+
+    Raises ``NotHurwitzError`` when the drift is not Hurwitz.
     """
-    return CovarianceMatrix(solve_lyapunov(system.A, system.D))
+    v = _per_mode_lyapunov(system.A, system.D)
+    return CovarianceMatrix(solve_lyapunov(system.A, system.D) if v is None else v)
+
+
+def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    """The steady state of a system that splits into per-mode 2 x 2 blocks, or None.
+
+    For one block ``a`` with trace ``t`` and determinant ``det``,
+    Cayley-Hamilton gives the solution of ``a v + v a.T + d = 0`` as
+    ``v = -(det d + e d e.T) / (2 t det)`` with ``e = a - t I``. A 2 x 2
+    drift has every eigenvalue's real part below ``-HURWITZ_TOL`` exactly
+    when ``a + HURWITZ_TOL I`` has negative trace and positive determinant
+    (Routh-Hurwitz), so the verdict needs no eigensolver and uses the same
+    guard as :func:`solve_lyapunov`. Returns None, to fall back, when the
+    system has an inter-mode entry or a non-finite one, or when the answer
+    fails :func:`solves_lyapunov`.
+    """
+    n = a.shape[0] // 2
+    # a per-mode matrix has at most 4 N nonzeros, so a coupled drift is
+    # turned away after one count
+    if np.count_nonzero(a) > 4 * n or np.count_nonzero(d) > 4 * n:
+        return None
+    # blocks[j] is the 2 x 2 restriction of a matrix to (q_j, p_j)
+    modes = np.arange(n)
+    a_blocks = a.reshape(2, n, 2, n)[:, modes, :, modes]
+    d_blocks = d.reshape(2, n, 2, n)[:, modes, :, modes]
+    if (np.count_nonzero(a_blocks) != np.count_nonzero(a)
+            or np.count_nonzero(d_blocks) != np.count_nonzero(d)
+            or not (np.isfinite(a_blocks).all() and np.isfinite(d_blocks).all())):
+        return None
+    a11, a12, a21, a22 = a_blocks.reshape(n, 4).T
+    if not np.all((a11 + a22 + 2.0 * HURWITZ_TOL < 0.0)
+                  & ((a11 + HURWITZ_TOL) * (a22 + HURWITZ_TOL) - a12 * a21 > 0.0)):
+        raise NotHurwitzError(
+            "drift matrix is not Hurwitz; the steady-state equation has no unique solution"
+        )
+    det = a11 * a22 - a12 * a21
+    if not np.all(det > 0.0):
+        # rounding contradicts the verdict: a Hurwitz block has det > 0
+        return None
+    trace = (a11 + a22)[:, None, None]
+    det = det[:, None, None]
+    e = a_blocks - trace * np.eye(2)
+    blocks = -(det * d_blocks + e @ d_blocks @ e.transpose(0, 2, 1)) / (2.0 * trace * det)
+    v = np.zeros_like(a)
+    v.reshape(2, n, 2, n)[:, modes, :, modes] = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    return v if solves_lyapunov(a, v, d) else None
 
 
 @dataclass(frozen=True)

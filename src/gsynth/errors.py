@@ -33,6 +33,10 @@ class InvalidCovarianceError(GsynthError):
     """The matrix fails the physicality requirements of a covariance matrix."""
 
 
+class InvalidDiffusionError(GsynthError, ValueError):
+    """The diffusion matrix of a moment system is not positive semidefinite."""
+
+
 class UnsupportedBipartitionError(GsynthError):
     """Entanglement quantification was requested for a partition other than
     one mode against one mode."""

@@ -23,9 +23,10 @@ from .errors import (
     NotPureStateError,
     UnsupportedBipartitionError,
 )
-from .numerics import DEFAULT_TOL, max_abs, symmetrized, threshold
+from .numerics import DEFAULT_TOL, least_eigenvalue_unless_above, max_abs, symmetrized, threshold
 
-#: Absolute eigenvalue slack allowed when checking physicality.
+#: Eigenvalue slack allowed when checking physicality, at the scale of the
+#: covariance's entries (see :func:`gsynth.numerics.threshold`).
 PHYSICALITY_TOL = 1e-9
 
 #: Strict positive-definiteness floor for the imaginary part of a graph matrix.
@@ -48,8 +49,12 @@ class CovarianceMatrix:
     """A physical covariance matrix over ``(q_1..q_N, p_1..p_N)``.
 
     Construction validates shape, finiteness, symmetry and the uncertainty
-    relation ``V + (i/2) Sigma >= 0`` (eigenvalues no lower than
-    ``-PHYSICALITY_TOL``); the stored matrix is exactly symmetrized.
+    relation ``V + (i/2) Sigma >= 0``: its eigenvalues may fall no lower
+    than ``-threshold(max|V|, PHYSICALITY_TOL)``, so the slack grows with
+    a strongly squeezed covariance's entries as their rounding does. A
+    Cholesky factorization of the shifted matrix accepts; only when it
+    fails does ``eigvalsh`` decide and word the rejection. The stored
+    matrix is exactly symmetrized.
     """
 
     V: np.ndarray
@@ -65,10 +70,11 @@ class CovarianceMatrix:
         except ValueError as exc:
             raise InvalidCovarianceError(str(exc)) from exc
         n = v.shape[0] // 2
-        physicality = np.linalg.eigvalsh(v + 0.5j * symplectic_form(n))
-        if physicality.min() < -PHYSICALITY_TOL:
+        bound = threshold(max_abs(v), PHYSICALITY_TOL)
+        least = least_eigenvalue_unless_above(v + 0.5j * symplectic_form(n), -bound)
+        if least is not None and least < -bound:
             raise InvalidCovarianceError(
-                f"uncertainty relation violated (min eigenvalue {physicality.min():.3e})"
+                f"uncertainty relation violated (min eigenvalue {least:.3e})"
             )
         object.__setattr__(self, "V", v)
 
@@ -112,7 +118,9 @@ class GraphMatrix:
     """The complex symmetric label ``Z = X + iY`` of a pure Gaussian state.
 
     ``X`` and ``Y`` are real symmetric N x N matrices and ``Y`` is positive
-    definite (minimum eigenvalue above ``POSDEF_TOL``).
+    definite (minimum eigenvalue above ``POSDEF_TOL``). A Cholesky
+    factorization of ``Y - POSDEF_TOL I`` accepts; only when it fails does
+    ``eigvalsh`` decide.
     """
 
     X: np.ndarray
@@ -129,7 +137,8 @@ class GraphMatrix:
             raise ValueError("graph matrix has non-finite entries")
         x = symmetrized(x, "real part of graph matrix")
         y = symmetrized(y, "imaginary part of graph matrix")
-        if np.linalg.eigvalsh(y).min() <= POSDEF_TOL:
+        least = least_eigenvalue_unless_above(y, POSDEF_TOL)
+        if least is not None and least <= POSDEF_TOL:
             raise ValueError("imaginary part of graph matrix must be positive definite")
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)

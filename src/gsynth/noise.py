@@ -5,7 +5,10 @@ to a mode through two separate rows, one lowering with amplitude
 ``sqrt(gamma (nbar + 1))`` and one raising with amplitude
 ``sqrt(gamma nbar)``; they are never merged into one effective channel.
 These rows are parasitic: the single-channel constraint counts only the
-designed coupling.
+designed coupling. A phase-insensitive row touches one mode's ``a_j`` or
+``a_j^dag`` alone, so its share of the moment equations is diagonal, and
+:func:`augment` and :func:`robustness_report` add it in closed form
+without stacking the rows.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from numpy.typing import NDArray
 from .errors import NotHurwitzError
 from .gaussian import CovarianceMatrix, log_negativity, purity
 from .numerics import max_abs
-from .dynamics import MomentSystem, build_moment_system, steady_state
+from .dynamics import MomentSystem, _moment_matrices, steady_state
 from .synthesis import Realization
 
 LOWERING = "lowering"
@@ -73,13 +76,47 @@ def bath_channels(mode: int, gamma: float, nbar: float) -> tuple[NoiseChannel, N
 
 
 def augment(realization: Realization, channels) -> MomentSystem:
-    """Moment system of a design with thermal rows stacked under its coupling."""
-    return _with_rows(realization, [channel_row(ch, realization.n_modes) for ch in channels])
+    """Moment system of a design with thermal rows stacked under its coupling.
+
+    Equal, up to rounding, to ``build_moment_system`` of ``G`` and ``C``
+    with each channel's :func:`channel_row` stacked under ``C``; the
+    channels enter as diagonal terms (:func:`_thermal_system`).
+
+    Raises ``IndexError`` for a channel whose mode the design lacks.
+    """
+    return _thermal_system(realization.G, realization.C, list(channels))
 
 
-def _with_rows(realization: Realization, rows) -> MomentSystem:
-    c_all = np.vstack([realization.C, *rows]) if rows else realization.C
-    return build_moment_system(realization.G, c_all)
+def _thermal_system(g, c, channels: list[NoiseChannel]) -> MomentSystem:
+    """Moment system of ``(g, c)`` with every channel's row stacked under ``c``.
+
+    No row is formed. With ``a_j = (q_j + i p_j) / sqrt(2)`` a channel of
+    amplitude ``alpha`` on mode ``j`` has the row ``(alpha / sqrt(2))
+    (e_qj + s i e_pj)``, ``s = +1`` lowering and ``-1`` raising. Its
+    ``c^dag c`` is ``(alpha^2 / 2) [[1, s i], [-s i, 1]]`` on ``(q_j, p_j)``
+    and zero elsewhere. The drift gains ``Sigma Im(c^dag c)``, which on
+    that block is ``s (alpha^2 / 2) [[0, 1], [-1, 0]]^2 = -s (alpha^2 / 2)
+    I``. The diffusion gains ``Sigma Re(c^dag c) Sigma.T``, the identity
+    block mapped onto itself: ``alpha^2 / 2`` at ``q_j`` and ``p_j``. So
+    every channel adds to the two diagonals only, and ``np.bincount`` sums
+    the channels per mode. ``alpha^2`` is ``gamma (nbar + 1)`` lowering
+    and ``gamma nbar`` raising.
+    """
+    n = g.shape[0] // 2
+    a, d = _moment_matrices(g, c)
+    if channels:
+        fields = np.array([(ch.mode, ch.gamma, ch.nbar, ch.kind == LOWERING)
+                           for ch in channels], dtype=float).T
+        modes = fields[0].astype(int)
+        if modes.max() >= n:
+            raise IndexError(f"mode index {modes.max()} out of range for {n} modes")
+        half_rate = 0.5 * fields[1] * (fields[2] + fields[3])
+        drift = np.bincount(modes, weights=(1.0 - 2.0 * fields[3]) * half_rate, minlength=n)
+        diffusion = np.bincount(modes, weights=half_rate, minlength=n)
+        diagonal = np.arange(2 * n)
+        a[diagonal, diagonal] += np.concatenate([drift, drift])
+        d[diagonal, diagonal] += np.concatenate([diffusion, diffusion])
+    return MomentSystem(A=a, D=d)
 
 
 @dataclass(frozen=True)
@@ -119,15 +156,17 @@ def robustness_report(realization: Realization, channels,
     """Compare steady-state purity/entanglement with and without the design.
 
     The without branch keeps the same Hamiltonian matrix and drops only the
-    designed coupling rows, leaving the thermal rows.
+    designed coupling rows, leaving the thermal rows. Both systems take the
+    channels as diagonal terms (:func:`augment`). The without branch of a
+    passive diagonal design therefore splits into per-mode 2 x 2 blocks,
+    which :func:`steady_state` solves in closed form; a mode with no bath
+    leaves it without a steady state (``None``).
     """
-    rows = [channel_row(ch, realization.n_modes) for ch in channels]
-    with_metrics = _metrics(_with_rows(realization, rows))
-    if rows:
-        without_system = build_moment_system(realization.G, np.vstack(rows))
-        without_metrics = _metrics(without_system)
-    else:
-        without_metrics = None
+    channels = list(channels)
+    with_metrics = _metrics(_thermal_system(realization.G, realization.C, channels))
+    without_metrics = None
+    if channels:
+        without_metrics = _metrics(_thermal_system(realization.G, realization.C[:0], channels))
     distance = None
     if with_metrics is not None:
         distance = max_abs(with_metrics.covariance.V - target.V)

@@ -63,9 +63,7 @@ def threshold(scale, tol: float = DEFAULT_TOL) -> float:
     * ``CovarianceMatrix.is_pure``, ``|det(V) 4**N - 1|`` against
       ``threshold(1, tol)`` or the determinant's rounding floor, whichever
       is larger;
-    * the fixed bounds ``HURWITZ_TOL``, ``gaussian.POSDEF_TOL`` and
-      ``gaussian.PHYSICALITY_TOL`` (absolute);
-    * ``dynamics.MomentSystem``'s positive-semidefinite floor ``-1e-10``
+    * the fixed bounds ``HURWITZ_TOL`` and ``gaussian.POSDEF_TOL``
       (absolute);
     * the Lyapunov residual bounds in :func:`solve_lyapunov` (Frobenius
       norms, relative with no floor): ``16 n eps`` to accept the eigenbasis
@@ -86,6 +84,27 @@ def symmetrized(m, name: str, tol: float = DEFAULT_TOL) -> np.ndarray:
     if max_abs(m - m.T) > threshold(max_abs(m), tol):
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (m + m.T)
+
+
+def least_eigenvalue_unless_above(m, floor: float) -> float | None:
+    """``None`` when Cholesky certifies every eigenvalue of ``m`` above ``floor``.
+
+    ``m`` is real symmetric or complex Hermitian. A Cholesky factorization
+    of ``m - floor I`` completes exactly when that matrix is positive
+    definite, and it is backward stable (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, section 10.1), so success certifies the
+    bound at a fraction of an eigendecomposition's cost. When it fails,
+    the smallest eigenvalue from ``eigvalsh`` is returned, so every
+    rejection, and the number its message quotes, comes from the
+    eigenvalues as before.
+    """
+    shifted = np.array(m)
+    shifted.flat[:: shifted.shape[0] + 1] -= floor
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return float(np.linalg.eigvalsh(m).min())
+    return None
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -151,8 +170,8 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     than the rounding of the spectrum and ``s`` inverts, the equation is
     diagonal in the eigenbasis, ``y_ij = -(s^-1 d s^-H)_ij / (w_i +
     conj(w_j))``, and ``v = Re(s y s^H)``, symmetrized. That answer is
-    returned only when its relative residual ``||a v + v a.T + d|| / (||a||
-    ||v|| + ||d||)`` (Frobenius norms) is at most ``16 n eps``.
+    returned only when it passes :func:`solves_lyapunov`, a relative
+    residual of at most ``16 n eps``.
 
     Every other case goes to Bartels-Stewart (:func:`_bartels_stewart`),
     whose answer is bitwise scipy's ``solve_continuous_lyapunov``: a
@@ -204,15 +223,24 @@ def _modal_lyapunov(a: np.ndarray, d: np.ndarray) -> NDArray[np.float64] | None:
     y = (s_inv @ d @ s_inv.conj().T) / -(w[:, None] + w.conj()[None, :])
     v = (s @ y @ s.conj().T).real
     v = 0.5 * (v + v.T)
+    return v if solves_lyapunov(a, v, d) else None
+
+
+def solves_lyapunov(a, v, d) -> bool:
+    """Whether ``v`` solves ``a v + v a.T + d = 0`` to rounding.
+
+    The relative residual ``||a v + v a.T + d|| / (||a|| ||v|| + ||d||)``
+    (Frobenius norms) must be at most ``16 n eps`` for ``n x n`` operands.
+    Forming ``a v + v a.T`` rounds each entry by about ``n eps ||a||
+    ||v||``, so an exact answer reads about ``2 n eps`` (benchmark designs,
+    their thermal variants and bath-only drifts at n = 4..64 read at most
+    that). 8 times it, 16 n eps, is 2.3e-13 at n = 64: over 400 times below
+    the 1e-10 at which Bartels-Stewart's answer is refused. A NaN residual
+    fails.
+    """
     residual = np.linalg.norm(a @ v + v @ a.T + d)
-    # Forming a v + v a.T rounds each entry by about n eps ||a|| ||v||, so
-    # an exact answer reads about 2 n eps (benchmark designs, their thermal
-    # variants and bath-only drifts at n = 4..64 read at most that). 8 times
-    # it, 16 n eps, is 2.3e-13 at n = 64: over 400 times below the 1e-10
-    # at which Bartels-Stewart's answer is refused. A NaN residual fails.
-    if residual <= 16.0 * n * eps * (norm_a * np.linalg.norm(v) + np.linalg.norm(d)):
-        return v
-    return None
+    bound = 16.0 * a.shape[0] * np.finfo(float).eps
+    return bool(residual <= bound * (np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d)))
 
 
 def _bartels_stewart(a: np.ndarray, d: np.ndarray) -> NDArray[np.float64]:

@@ -589,3 +589,25 @@ def test_feasible_at_zero_tolerance(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", str(tms), "--tol", "0")
     assert code == 0
     assert json.loads(out)["pure"] is True
+
+
+@pytest.mark.parametrize("scalar, hurwitz", [(1e4 * (0.3 + 1j), True), (1e10j, False)])
+def test_synthesize_beside_a_large_scalar(tmp_path, capsys, scalar, hurwitz):
+    # the diffusion and physicality floors scale with their matrices, so a
+    # large lone scalar beside tms(0.7) neither stops on an absolute floor
+    # nor escapes as a traceback; at 1e10 the design is not Hurwitz
+    from gsynth import GraphMatrix, factor_covariance
+
+    z = np.zeros((3, 3), dtype=complex)
+    z[:2, :2] = factor_covariance(states.two_mode_squeezed(0.7)).Z
+    z[2, 2] = scalar
+    path = tmp_path / "graph.json"
+    save_graph(path, GraphMatrix(z.real, z.imag))
+    code, out, err = run(capsys, "synthesize", str(path), "-o", str(tmp_path / "design.json"))
+    assert code == 0, err
+    metrics = json.loads(out)["metrics"]
+    assert metrics["hurwitz"] is hurwitz
+    if hurwitz:
+        code, out, _ = run(capsys, "verify", str(tmp_path / "design.json"), str(path))
+        assert code == 0
+        assert json.loads(out)["generates_target"] is True

@@ -318,3 +318,154 @@ def test_steady_purity_of_designs():
     real = synthesize(tms_graph(0.9))
     v = steady_state(build_moment_system(real.G, real.C))
     assert purity(v) == pytest.approx(1.0, abs=1e-6)
+
+
+def _per_mode_system(rng, n):
+    """A random physical system whose rows and Hamiltonian act on one mode each.
+
+    Every mode gets a random Hamiltonian block and one or two random
+    coupling rows on its ``(q_j, p_j)``, then a damping row (a lowering
+    channel) strong enough to make its block Hurwitz.
+    """
+    from gsynth.noise import LOWERING, NoiseChannel, channel_row
+
+    g = np.zeros((2 * n, 2 * n))
+    rows = []
+    for j in range(n):
+        h = rng.normal(size=(2, 2))
+        g[np.ix_([j, n + j], [j, n + j])] = h + h.T
+        for _ in range(int(rng.integers(1, 3))):
+            row = np.zeros(2 * n, dtype=complex)
+            row[[j, n + j]] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            rows.append(row)
+    a = build_moment_system(g, np.array(rows)).A
+    for j in range(n):
+        abscissa = np.linalg.eigvals(a[np.ix_([j, n + j], [j, n + j])]).real.max()
+        gamma = 2.0 * max(abscissa, 0.0) + rng.uniform(0.02, 2.0)
+        rows.append(channel_row(NoiseChannel(mode=j, gamma=gamma, nbar=0.0, kind=LOWERING), n))
+    return build_moment_system(g, np.array(rows))
+
+
+def _forbid_general_solve(monkeypatch):
+    import gsynth.dynamics
+
+    def refuse(a, d):
+        raise AssertionError("the per-mode system went to solve_lyapunov")
+
+    monkeypatch.setattr(gsynth.dynamics, "solve_lyapunov", refuse)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_per_mode_steady_state_matches_scipy(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 33))
+    system = _per_mode_system(rng, n)
+    expected = scipy.linalg.solve_continuous_lyapunov(system.A, -system.D)
+    _forbid_general_solve(monkeypatch)
+    v = steady_state(system).V
+    scale = np.abs(expected).max()
+    if np.abs(v - expected).max() > 1e-13 * scale:
+        # scipy's Schur solve of the whole 2N system can be the one that is
+        # off (2.3e-13 on one of 500 draws); a 40-digit solve of each
+        # block's 3 x 3 system decides
+        assert np.abs(v - _exact_per_mode(system)).max() <= 1e-13 * scale
+
+
+def _exact_per_mode(system):
+    mpmath = pytest.importorskip("mpmath")
+    n = system.n_modes
+    v = np.zeros((2 * n, 2 * n))
+    with mpmath.workdps(40):
+        for j in range(n):
+            idx = np.ix_([j, n + j], [j, n + j])
+            a11, a12, a21, a22 = (mpmath.mpf(x) for x in system.A[idx].ravel())
+            d = system.D[idx]
+            # the (1,1), (1,2) and (2,2) entries of a v + v a.T + d = 0
+            m = [[2 * a11, 2 * a12, 0], [a21, a11 + a22, a12], [0, 2 * a21, 2 * a22]]
+            rhs = [-d[0, 0], -d[0, 1], -d[1, 1]]
+            x, y, z = mpmath.lu_solve(mpmath.matrix(m), mpmath.matrix(rhs))
+            v[idx] = [[float(x), float(y)], [float(y), float(z)]]
+    return v
+
+
+@pytest.mark.parametrize("factor", [1.1, 0.9, 0.0])
+@pytest.mark.parametrize("shape", ["rotating", "real"])
+def test_per_mode_hurwitz_verdict_matches_schur(factor, shape):
+    # a block whose abscissa sits 10% either side of -HURWITZ_TOL, or at 0
+    from gsynth import MomentSystem, solve_lyapunov
+    from gsynth.numerics import HURWITZ_TOL
+
+    kappa = factor * HURWITZ_TOL
+    if shape == "rotating":
+        block = np.array([[-kappa, 1.3], [-1.3, -kappa]])
+    else:
+        block = np.array([[-kappa, 0.0], [0.7, -2.0]])
+    a = np.zeros((4, 4))
+    a[np.ix_([0, 2], [0, 2])] = block
+    a[np.ix_([1, 3], [1, 3])] = [[-0.5, 1.0], [-1.0, -0.5]]
+    system = MomentSystem(A=a, D=np.eye(4))
+    hurwitz = is_hurwitz(a)
+    assert hurwitz == (factor > 1.0)
+    try:
+        v = steady_state(system).V
+    except NotHurwitzError:
+        with pytest.raises(NotHurwitzError):
+            solve_lyapunov(a, system.D)
+        assert not hurwitz
+    else:
+        assert hurwitz
+        expected = solve_lyapunov(a, system.D)
+        assert np.abs(v - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("matrix", ["A", "D"])
+def test_one_inter_mode_entry_takes_the_general_solve(matrix, monkeypatch):
+    import gsynth.dynamics
+    from gsynth import MomentSystem
+
+    system = _per_mode_system(np.random.default_rng(7), 3)
+    a, d = system.A.copy(), system.D.copy()
+    if matrix == "A":
+        a[0, 4] = 0.05
+    else:
+        d[0, 4] = d[4, 0] = 0.05
+    calls = []
+    solve = gsynth.dynamics.solve_lyapunov
+    monkeypatch.setattr(gsynth.dynamics, "solve_lyapunov",
+                        lambda a, d: calls.append(1) or solve(a, d))
+    v = steady_state(MomentSystem(A=a, D=d)).V
+    assert calls == [1]
+    expected = scipy.linalg.solve_continuous_lyapunov(a, -d)
+    assert np.abs(v - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_per_mode_non_finite_drift_takes_the_general_solve():
+    from gsynth import MomentSystem
+
+    a = np.array([[-1.0, np.nan], [0.0, -1.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        steady_state(MomentSystem(A=a, D=np.eye(2)))
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_diffusion_psd_verdict_matches_eigvalsh(factor, scale):
+    # the floor scales with max|D|, and a rejection is a GsynthError that
+    # is also a ValueError
+    from gsynth import InvalidDiffusionError, MomentSystem
+    from gsynth.dynamics import DIFFUSION_PSD_TOL
+
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    floor = DIFFUSION_PSD_TOL * scale
+    d = np.zeros((4, 4))
+    d[0, 0] = scale  # max|D|, so the floor is known
+    d[1:, 1:] = q @ np.diag([0.3 * scale, 0.0, -factor * floor]) @ q.T
+    d = 0.5 * (d + d.T)
+    expected = np.linalg.eigvalsh(d).min() >= -floor
+    assert expected == (factor < 1.0)
+    if expected:
+        MomentSystem(A=-np.eye(4), D=d)
+    else:
+        with pytest.raises(InvalidDiffusionError, match="positive semidefinite") as info:
+            MomentSystem(A=-np.eye(4), D=d)
+        assert isinstance(info.value, GsynthError) and isinstance(info.value, ValueError)

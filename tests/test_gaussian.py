@@ -213,3 +213,45 @@ def test_reduced_state_errors():
         reduced_state(states.vacuum(2), [0, 5])
     with pytest.raises(ValueError):
         reduced_state(states.vacuum(2), [1, 1])
+
+
+def _eigvalsh_accepts_covariance(v):
+    from gsynth.gaussian import PHYSICALITY_TOL
+
+    n = v.shape[0] // 2
+    bound = PHYSICALITY_TOL * max(1.0, np.abs(v).max())
+    return np.linalg.eigvalsh(v + 0.5j * symplectic_form(n)).min() >= -bound
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 3.0])
+def test_physicality_verdict_matches_eigvalsh(factor, alpha):
+    # a pure state's V + i Sigma / 2 is singular; pushing it down by a
+    # multiple of the bound, which scales with max|V|, decides the verdict
+    from gsynth.gaussian import PHYSICALITY_TOL
+
+    v = states.two_mode_squeezed(alpha).V
+    v = v - factor * PHYSICALITY_TOL * max(1.0, np.abs(v).max()) * np.eye(4)
+    expected = _eigvalsh_accepts_covariance(v)
+    assert expected == (factor < 1.0)
+    if expected:
+        CovarianceMatrix(v)
+    else:
+        with pytest.raises(InvalidCovarianceError, match="min eigenvalue -"):
+            CovarianceMatrix(v)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_graph_posdef_verdict_matches_eigvalsh(factor):
+    from gsynth.gaussian import POSDEF_TOL
+
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    y = q @ np.diag([2.0, 1.0, factor * POSDEF_TOL]) @ q.T
+    y = 0.5 * (y + y.T)
+    expected = np.linalg.eigvalsh(y).min() > POSDEF_TOL
+    assert expected == (factor > 1.0)
+    if expected:
+        GraphMatrix(np.zeros((3, 3)), y)
+    else:
+        with pytest.raises(ValueError, match="positive definite"):
+            GraphMatrix(np.zeros((3, 3)), y)

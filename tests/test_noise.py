@@ -154,3 +154,96 @@ def test_augmented_system_stays_real_psd():
     ms = augment(real, standard_baths())
     assert ms.A.dtype.kind == "f"
     assert np.linalg.eigvalsh(ms.D).min() >= -1e-10
+
+
+def _random_channels(rng, n):
+    """Baths and lone channels on a random subset of modes, some repeated, some at nbar = 0."""
+    channels = []
+    for mode in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+        gamma = float(rng.choice([0.0, rng.uniform(1e-3, 2.0)], p=[0.1, 0.9]))
+        nbar = float(rng.choice([0.0, rng.uniform(0.0, 20.0)]))
+        if rng.random() < 0.6:
+            channels.extend(bath_channels(int(mode), gamma, nbar))
+        else:
+            kind = LOWERING if rng.random() < 0.5 else RAISING
+            channels.append(NoiseChannel(mode=int(mode), gamma=gamma, nbar=nbar, kind=kind))
+    repeats = [channels[k] for k in rng.integers(0, len(channels), size=int(rng.integers(0, 3)))]
+    order = rng.permutation(len(channels) + len(repeats))
+    return [(channels + repeats)[k] for k in order]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_thermal_system_matches_stacked_rows(seed):
+    # the diagonal terms against the moment system of the rows stacked under C
+    from gsynth.noise import _thermal_system
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, 3, 5, 8, 16, 32]))
+    g = rng.normal(size=(2 * n, 2 * n))
+    g = g + g.T
+    c = rng.normal(size=(int(rng.integers(0, 3)), 2 * n)) * (1 + 1j * rng.normal(size=2 * n))
+    channels = _random_channels(rng, n)
+    rows = np.vstack([c, *[channel_row(ch, n) for ch in channels]])
+    expected = build_moment_system(g, rows)
+    system = _thermal_system(g, c, channels)
+    # a bath's raising and lowering terms cancel in A, but not in D, whose
+    # diagonal carries their sum: the system's largest entry sets the scale
+    scale = max(np.abs(expected.A).max(), np.abs(expected.D).max())
+    assert np.abs(system.A - expected.A).max() <= 8 * np.finfo(float).eps * scale
+    assert np.abs(system.D - expected.D).max() <= 8 * np.finfo(float).eps * scale
+
+
+def test_augment_matches_stacked_rows_and_checks_modes():
+    real = pair_realization()
+    channels = standard_baths() + [NoiseChannel(mode=1, gamma=0.3, nbar=0.0, kind=LOWERING)]
+    rows = np.vstack([real.C, *[channel_row(ch, 2) for ch in channels]])
+    expected = build_moment_system(real.G, rows)
+    system = augment(real, iter(channels))
+    assert_allclose(system.A, expected.A, rtol=0, atol=1e-15)
+    assert_allclose(system.D, expected.D, rtol=0, atol=1e-14)
+    with pytest.raises(IndexError, match="out of range for 2 modes"):
+        augment(real, [NoiseChannel(mode=2, gamma=0.1, nbar=0.0, kind=LOWERING)])
+
+
+def test_robustness_without_coupling_needs_a_bath_on_every_mode():
+    # a mode with no bath keeps an undamped rotation, so the thermal-only
+    # system has no steady state; the designed coupling still damps it
+    real = tms_realization(0.7)
+    target = graph_to_covariance(tms_graph(0.7))
+    report = robustness_report(real, standard_baths()[:2], target)
+    assert report.with_coupling is not None
+    assert report.without_coupling is None
+    full = robustness_report(real, standard_baths(), target)
+    assert_allclose(full.without_coupling.covariance.V, 10.5 * np.eye(4), atol=1e-12)
+
+
+def test_design_checks_skip_eigensolvers(monkeypatch):
+    # on an N = 16 design, every validity check is settled by Cholesky and
+    # the bath-only steady state by the per-mode closed form
+    import gsynth.dynamics
+    from gsynth import BlockClass, Permutation, assemble_graph, synthesize, verify_generation
+    from gsynth.structure import XI_PHI
+    from conftest import random_phi_block
+
+    rng = np.random.default_rng(16)
+    graph = assemble_graph([BlockClass(XI_PHI, random_phi_block(rng)) for _ in range(8)],
+                           Permutation(tuple(int(k) for k in rng.permutation(16))))
+    real = synthesize(graph)
+    target = graph_to_covariance(graph)
+    baths = [ch for m in range(16) for ch in bath_channels(m, THERMAL_GAMMA, THERMAL_NBAR)]
+    calls = {"eigvalsh": 0, "solve_lyapunov": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(gsynth.dynamics, "solve_lyapunov",
+                        counted("solve_lyapunov", gsynth.dynamics.solve_lyapunov))
+    report = verify_generation(real, target)
+    robustness = robustness_report(real, baths, target)
+    assert report.generates_target
+    assert robustness.without_coupling is not None
+    assert calls == {"eigvalsh": 0, "solve_lyapunov": 2}
