@@ -4,8 +4,10 @@ transient covariance evolution.
 For a quadratic Hamiltonian matrix ``G`` and coupling rows ``C`` the first
 and second moments obey ``d<x>/dt = A <x>`` and
 ``dV/dt = A V + V A.T + D`` with ``A = Sigma (G + Im(C^dag C))`` and
-``D = (1/2) B B^dag``, ``B = i Sigma [-C^dag  C.T]``. A Hurwitz ``A``
-makes the steady state the unique solution of ``A V + V A.T + D = 0``.
+``D = (1/2) B B^dag``, ``B = i Sigma [-C^dag  C.T]``. Since
+``B B^dag = 2 Sigma Re(C^dag C) Sigma.T``, ``D`` is real and is formed from
+the ``C^dag C`` the drift already needs. A Hurwitz ``A`` makes the steady
+state the unique solution of ``A V + V A.T + D = 0``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GsynthError, InvalidDiffusionError, NotHurwitzError
+from .errors import DimensionError, InvalidDiffusionError, NotHurwitzError
 from .gaussian import CovarianceMatrix, purity, symplectic_form
 from .numerics import (
     DEFAULT_TOL,
@@ -29,9 +31,6 @@ from .numerics import (
     threshold,
 )
 from .synthesis import Realization, ConstraintReport, verify_constraints
-
-#: Hard bound on the imaginary residue tolerated when forming the diffusion matrix.
-DIFFUSION_IMAG_TOL = 1e-12
 
 #: Eigenvalue slack of the diffusion matrix's positive semidefiniteness, at
 #: the scale of its entries (see :func:`gsynth.numerics.threshold`).
@@ -77,9 +76,8 @@ class MomentSystem:
 def build_moment_system(g, c) -> MomentSystem:
     """Assemble drift and diffusion matrices from ``(G, C)``.
 
-    An imaginary residue above ``DIFFUSION_IMAG_TOL`` in the diffusion
-    matrix indicates a malformed coupling and raises instead of being
-    silently discarded.
+    ``A = Sigma (G + Im(C^dag C))`` and ``D = Sigma Re(C^dag C) Sigma.T``,
+    both from one product ``C^dag C``.
     """
     return MomentSystem(*_moment_matrices(g, c))
 
@@ -94,14 +92,8 @@ def _moment_matrices(g, c) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"coupling rows must have {g.shape[0]} columns, got {c.shape}")
     n = g.shape[0] // 2
     sig = symplectic_form(n)
-    a = sig @ (g + (c.conj().T @ c).imag)
-    b = 1j * sig @ np.hstack([-c.conj().T, c.T])
-    d = 0.5 * (b @ b.conj().T)
-    if max_abs(d.imag) > threshold(max_abs(d.real), DIFFUSION_IMAG_TOL):
-        raise GsynthError(
-            f"diffusion matrix has imaginary residue {max_abs(d.imag):.3e}; coupling is malformed"
-        )
-    return a, d.real
+    cc = c.conj().T @ c
+    return sig @ (g + cc.imag), sig @ cc.real @ sig.T
 
 
 def steady_state(system: MomentSystem) -> CovarianceMatrix:

@@ -12,6 +12,7 @@ of two-mode states (natural logarithm convention).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -33,14 +34,20 @@ PHYSICALITY_TOL = 1e-9
 POSDEF_TOL = 1e-12
 
 
+@lru_cache
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
-    """The canonical antisymmetric form ``[[0, I], [-I, 0]]`` for n modes."""
+    """The canonical antisymmetric form ``[[0, I], [-I, 0]]`` for n modes.
+
+    Built once per ``n_modes`` and shared between callers, so the returned
+    array is read-only.
+    """
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
     eye = np.eye(n_modes)
     sig = np.zeros((2 * n_modes, 2 * n_modes))
     sig[:n_modes, n_modes:] = eye
     sig[n_modes:, :n_modes] = -eye
+    sig.flags.writeable = False
     return sig
 
 
@@ -121,6 +128,13 @@ class GraphMatrix:
     definite (minimum eigenvalue above ``POSDEF_TOL``). A Cholesky
     factorization of ``Y - POSDEF_TOL I`` accepts; only when it fails does
     ``eigvalsh`` decide.
+
+    A graph is immutable. It stores its own symmetrized copies of ``X`` and
+    ``Y``, read-only, so the caller's arrays stay writable. Facts derived
+    from it are computed once and kept on the instance: ``Z`` (read-only
+    too), ``Y^-1`` and the certificate of :func:`gsynth.structure.decompose`
+    for each tolerance. Equality, ``repr`` and ``dataclasses.replace`` see
+    the fields alone, and a replaced graph computes its facts afresh.
     """
 
     X: np.ndarray
@@ -140,12 +154,23 @@ class GraphMatrix:
         least = least_eigenvalue_unless_above(y, POSDEF_TOL)
         if least is not None and least <= POSDEF_TOL:
             raise ValueError("imaginary part of graph matrix must be positive definite")
+        x.flags.writeable = False
+        y.flags.writeable = False
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
 
-    @property
+    @cached_property
     def Z(self) -> NDArray[np.complex128]:
-        return self.X + 1j * self.Y
+        z = self.X + 1j * self.Y
+        z.flags.writeable = False
+        return z
+
+    @cached_property
+    def _y_inv(self) -> NDArray[np.float64]:
+        """``Y^-1``, read-only; ``Y`` is positive definite, so it exists."""
+        y_inv = np.linalg.inv(self.Y)
+        y_inv.flags.writeable = False
+        return y_inv
 
     @property
     def n_modes(self) -> int:
@@ -192,7 +217,7 @@ def factor_covariance(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> GraphM
 def graph_to_covariance(graph: GraphMatrix) -> CovarianceMatrix:
     """Covariance matrix of the pure state labeled by ``graph``."""
     n = graph.n_modes
-    y_inv = np.linalg.inv(graph.Y)
+    y_inv = graph._y_inv
     x = graph.X
     xy = x @ y_inv
     v = np.empty((2 * n, 2 * n))

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NotHurwitzError
-from .gaussian import CovarianceMatrix, log_negativity, purity
+from .gaussian import CovarianceMatrix, log_negativity, purity, symplectic_form
 from .numerics import max_abs
 from .dynamics import MomentSystem, _moment_matrices, steady_state
 from .synthesis import Realization
@@ -80,7 +80,7 @@ def augment(realization: Realization, channels) -> MomentSystem:
 
     Equal, up to rounding, to ``build_moment_system`` of ``G`` and ``C``
     with each channel's :func:`channel_row` stacked under ``C``; the
-    channels enter as diagonal terms (:func:`_thermal_system`).
+    channels enter as diagonal terms (:func:`_bath_diagonals`).
 
     Raises ``IndexError`` for a channel whose mode the design lacks.
     """
@@ -88,7 +88,12 @@ def augment(realization: Realization, channels) -> MomentSystem:
 
 
 def _thermal_system(g, c, channels: list[NoiseChannel]) -> MomentSystem:
-    """Moment system of ``(g, c)`` with every channel's row stacked under ``c``.
+    """Moment system of ``(g, c)`` with every channel's row stacked under ``c``."""
+    return _with_baths(*_moment_matrices(g, c), _bath_diagonals(channels, g.shape[0] // 2))
+
+
+def _bath_diagonals(channels: list[NoiseChannel], n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """What the channels' rows add to the drift and diffusion diagonals, or None for none.
 
     No row is formed. With ``a_j = (q_j + i p_j) / sqrt(2)`` a channel of
     amplitude ``alpha`` on mode ``j`` has the row ``(alpha / sqrt(2))
@@ -100,22 +105,28 @@ def _thermal_system(g, c, channels: list[NoiseChannel]) -> MomentSystem:
     block mapped onto itself: ``alpha^2 / 2`` at ``q_j`` and ``p_j``. So
     every channel adds to the two diagonals only, and ``np.bincount`` sums
     the channels per mode. ``alpha^2`` is ``gamma (nbar + 1)`` lowering
-    and ``gamma nbar`` raising.
+    and ``gamma nbar`` raising. Both diagonals are over ``(q_1..q_N,
+    p_1..p_N)``.
     """
-    n = g.shape[0] // 2
-    a, d = _moment_matrices(g, c)
-    if channels:
-        fields = np.array([(ch.mode, ch.gamma, ch.nbar, ch.kind == LOWERING)
-                           for ch in channels], dtype=float).T
-        modes = fields[0].astype(int)
-        if modes.max() >= n:
-            raise IndexError(f"mode index {modes.max()} out of range for {n} modes")
-        half_rate = 0.5 * fields[1] * (fields[2] + fields[3])
-        drift = np.bincount(modes, weights=(1.0 - 2.0 * fields[3]) * half_rate, minlength=n)
-        diffusion = np.bincount(modes, weights=half_rate, minlength=n)
-        diagonal = np.arange(2 * n)
-        a[diagonal, diagonal] += np.concatenate([drift, drift])
-        d[diagonal, diagonal] += np.concatenate([diffusion, diffusion])
+    if not channels:
+        return None
+    fields = np.array([(ch.mode, ch.gamma, ch.nbar, ch.kind == LOWERING)
+                       for ch in channels], dtype=float).T
+    modes = fields[0].astype(int)
+    if modes.max() >= n:
+        raise IndexError(f"mode index {modes.max()} out of range for {n} modes")
+    half_rate = 0.5 * fields[1] * (fields[2] + fields[3])
+    drift = np.bincount(modes, weights=(1.0 - 2.0 * fields[3]) * half_rate, minlength=n)
+    diffusion = np.bincount(modes, weights=half_rate, minlength=n)
+    return np.concatenate([drift, drift]), np.concatenate([diffusion, diffusion])
+
+
+def _with_baths(a: np.ndarray, d: np.ndarray, baths) -> MomentSystem:
+    """The moment system ``(a, d)`` with :func:`_bath_diagonals` ``baths`` added in place."""
+    if baths is not None:
+        diagonal = np.arange(a.shape[0])
+        a[diagonal, diagonal] += baths[0]
+        d[diagonal, diagonal] += baths[1]
     return MomentSystem(A=a, D=d)
 
 
@@ -157,16 +168,19 @@ def robustness_report(realization: Realization, channels,
 
     The without branch keeps the same Hamiltonian matrix and drops only the
     designed coupling rows, leaving the thermal rows. Both systems take the
-    channels as diagonal terms (:func:`augment`). The without branch of a
-    passive diagonal design therefore splits into per-mode 2 x 2 blocks,
-    which :func:`steady_state` solves in closed form; a mode with no bath
-    leaves it without a steady state (``None``).
+    channels as diagonal terms (:func:`augment`), summed once for both. The
+    without branch of a passive diagonal design therefore splits into
+    per-mode 2 x 2 blocks, which :func:`steady_state` solves in closed
+    form; a mode with no bath leaves it without a steady state (``None``).
     """
-    channels = list(channels)
-    with_metrics = _metrics(_thermal_system(realization.G, realization.C, channels))
+    g = realization.G
+    baths = _bath_diagonals(list(channels), realization.n_modes)
+    with_metrics = _metrics(_with_baths(*_moment_matrices(g, realization.C), baths))
     without_metrics = None
-    if channels:
-        without_metrics = _metrics(_thermal_system(realization.G, realization.C[:0], channels))
+    if baths is not None:
+        # no coupling rows: the drift is Sigma G and the diffusion the baths' alone
+        a = symplectic_form(realization.n_modes) @ g
+        without_metrics = _metrics(_with_baths(a, np.zeros_like(a), baths))
     distance = None
     if with_metrics is not None:
         distance = max_abs(with_metrics.covariance.V - target.V)

@@ -42,8 +42,8 @@ HURWITZ_TOL = 1e-12
 
 def max_abs(a) -> float:
     """Max-norm of an array (0.0 for empty input)."""
-    a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    a = np.abs(a)
+    return float(a.max()) if a.size else 0.0
 
 
 #: Smallest tolerance :func:`threshold` applies. A residual within a few

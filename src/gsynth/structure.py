@@ -47,18 +47,20 @@ XI_PHI = "xi_phi"
 
 @dataclass(frozen=True)
 class BlockClass:
-    """One classified diagonal block: its tag and the actual entries."""
+    """One classified diagonal block: its tag and a read-only copy of its entries."""
 
     tag: str
     block: np.ndarray
 
     def __post_init__(self):
-        block = np.atleast_2d(np.asarray(self.block, dtype=complex))
+        block = np.atleast_2d(np.array(self.block, dtype=complex))
         sizes = {LAMBDA: 1, PI: 2, XI_PHI: 2}
         if self.tag not in sizes:
             raise ValueError(f"unknown block tag {self.tag!r}")
         if block.shape != (sizes[self.tag], sizes[self.tag]):
             raise DimensionError(f"{self.tag} block must be {sizes[self.tag]}x{sizes[self.tag]}")
+        # a decomposition is shared by every caller that asks for it
+        block.flags.writeable = False
         object.__setattr__(self, "block", block)
 
     @property
@@ -148,7 +150,21 @@ def decompose(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> BlockDecompositio
     every component to span at most two modes, every two-mode component to
     pass :func:`phi_membership`, and at most one lone scalar to differ from
     ``i`` (absolute tolerance ``tol``).
+
+    A graph is immutable, so the result is kept on it, one per ``tol``: a
+    second call with the same graph and tolerance, such as the one inside
+    :func:`~gsynth.synthesis.synthesize`, returns the same object without
+    classifying again.
     """
+    memo = graph.__dict__.setdefault("_decompositions", {})
+    dec = memo.get(tol)
+    if dec is None:
+        dec = memo[tol] = _decompose(graph, tol)
+    return dec
+
+
+def _decompose(graph: GraphMatrix, tol: float) -> BlockDecomposition:
+    """The classification of :func:`decompose`, made afresh."""
     z = graph.Z
     n = graph.n_modes
     mags = np.abs(z).tolist()

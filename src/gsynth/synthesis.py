@@ -12,7 +12,7 @@ single dissipative channel and no oscillator-oscillator couplings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -102,7 +102,9 @@ def build_R(dec: BlockDecomposition) -> NDArray[np.float64]:
     ``pi`` block gets ``diag(0, 1)`` and a coupled pair in the j-th block
     (counting from 1) gets ``diag(j, -j)``, pulled back through the
     certificate permutation to mode coordinates.
-    The result satisfies the consistency identity ``-Z R Z = R``.
+    The result satisfies the consistency identity ``-Z R Z = R``, checked
+    on the blocks at the rounding scale of the products,
+    ``threshold(max|Z|**2 max(1, max|R|))``, as :func:`build_Gamma` does.
     """
     if not dec.feasible:
         raise InfeasibleStateError(dec.certificate)
@@ -120,7 +122,8 @@ def build_R(dec: BlockDecomposition) -> NDArray[np.float64]:
     for blk in dec.blocks:
         z_tilde[at:at + blk.size, at:at + blk.size] = blk.block
         at += blk.size
-    if max_abs(-z_tilde @ r_tilde @ z_tilde - r_tilde) > threshold(max_abs(r_tilde)):
+    scale = max_abs(z_tilde) ** 2 * max(1.0, max_abs(r_tilde))
+    if max_abs(-z_tilde @ r_tilde @ z_tilde - r_tilde) > threshold(scale):
         raise InvalidRError("frequency assignment violates the block consistency identity")
     # Pull back through the permutation: mode image[s] carries slot s.
     r = np.zeros(dec.n_modes)
@@ -191,39 +194,39 @@ def assemble_realization(graph: GraphMatrix, r, gamma, p) -> Realization:
 def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> Realization:
     """Design a single-channel passive-diagonal system preparing ``graph``.
 
-    Runs the full chain: feasibility decomposition, frequency assignment,
-    ``Gamma = X R Y``, the coupling seed (the unit-norm sum of the unit
-    eigenvectors of ``Q = -R Z``, cyclic because the certificate makes the
-    eigenvalues distinct) and the final ``(G, C)`` pair. The returned
-    Hamiltonian matrix is stored in its exact reduced form ``diag(R, R)``
-    after verifying the general construction collapses to it.
+    Runs the full chain: feasibility decomposition (the one
+    :func:`~gsynth.structure.decompose` keeps on ``graph`` for ``tol``, so
+    a caller that decomposed first pays for no second classification),
+    frequency assignment, ``Gamma = X R Y``, the coupling seed (the
+    unit-norm sum of the unit eigenvectors of ``Q = -R Z``, cyclic because
+    the certificate makes the eigenvalues distinct) and the final
+    ``(G, C)`` pair. The Hamiltonian matrix is built in its reduced form
+    ``diag(R, R)``, which the two identities :func:`build_R` and
+    :func:`build_Gamma` check imply, and the design is validated once.
 
     Raises
     ------
     InfeasibleStateError
         If the state fails the block-structure test; carries the certificate.
     """
-    return _synthesize(graph, decompose(graph, tol), tol)
-
-
-def _synthesize(graph: GraphMatrix, dec: BlockDecomposition, tol: float) -> Realization:
-    """:func:`synthesize` from the decomposition ``dec`` that ``decompose`` made of ``graph``."""
+    dec = decompose(graph, tol)
     if not dec.feasible:
         raise InfeasibleStateError(dec.certificate)
     r = build_R(dec)
     gamma = build_Gamma(graph, r, tol)
     # Certificate spectrum of Q: 0 or {0, -i}, then +-k*i at block k; distinct, so p is cyclic.
-    _, vecs = eig(-r @ graph.Z)
-    p = vecs @ np.ones(graph.n_modes)
-    p = (p / np.linalg.norm(p)).reshape(-1, 1)
-    realization = assemble_realization(graph, r, gamma, p)
     n = graph.n_modes
-    g_exact = np.zeros((2 * n, 2 * n))
-    g_exact[:n, :n] = r
-    g_exact[n:, n:] = r
-    if max_abs(realization.G - g_exact) > threshold(max_abs(r), tol):
-        raise InvalidRError("constructed Hamiltonian does not reduce to the passive diagonal form")
-    return replace(realization, G=g_exact)
+    _, vecs = eig(-r @ graph.Z)
+    p = vecs @ np.ones(n)
+    p = (p / np.linalg.norm(p)).reshape(-1, 1)
+    # build_G's general form collapses to diag(R, R). With Gamma = X R Y,
+    # Gamma Y^-1 X = X R X = X Y^-1 Gamma.T, so the top-left block is
+    # Y R Y - X R X = Re(-Z R Z) = R, and the off-diagonal block is
+    # -X R + Gamma Y^-1 = 0, as is its transpose.
+    g = np.zeros((2 * n, 2 * n))
+    g[:n, :n] = r
+    g[n:, n:] = r
+    return Realization(R=r, Gamma=gamma, P=p, G=g, C=build_C(graph, p), graph=graph)
 
 
 def _clearly_controllable(q, p, tol: float = DEFAULT_TOL) -> bool:
@@ -302,8 +305,8 @@ def verify_constraints(realization: Realization, tol: float = DEFAULT_TOL) -> Co
     if not single:
         violations.append(f"{realization.n_channels} designed channels present, expected 1")
 
-    y_inv = np.linalg.inv(realization.graph.Y)
-    q = -1j * realization.R @ realization.graph.Y + y_inv @ realization.Gamma
+    graph = realization.graph
+    q = -1j * realization.R @ graph.Y + graph._y_inv @ realization.Gamma
     # a "not controllable" verdict always comes from the general Hautus test
     rank_ok = (_clearly_controllable(q, realization.P, tol)
                or is_controllable(q, realization.P, tol))

@@ -504,14 +504,15 @@ def test_synthesize_decomposes_once(tmp_path, capsys, monkeypatch, fixture):
     code, expected_out, _ = run(capsys, "synthesize", str(state), "-o", str(design))
     expected_file = design.read_bytes()
     calls = []
-    original = gsynth.structure.decompose
+    original = gsynth.structure._decompose
 
-    def counted(graph, tol=DEFAULT_TOL):
+    # cli and synthesize both ask decompose; the graph keeps the first
+    # answer, so the classification itself runs once
+    def counted(graph, tol):
         calls.append(tol)
         return original(graph, tol)
 
-    for module in ("gsynth.cli", "gsynth.structure", "gsynth.synthesis"):
-        monkeypatch.setattr(f"{module}.decompose", counted)
+    monkeypatch.setattr(gsynth.structure, "_decompose", counted)
     design.unlink()
     assert run(capsys, "synthesize", str(state), "-o", str(design)) == (code, expected_out, "")
     assert code == 0

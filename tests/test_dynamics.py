@@ -102,18 +102,22 @@ def test_steady_state_requires_stability():
         steady_state(ms)
 
 
-def test_diffusion_imaginary_residue_is_fatal(monkeypatch):
-    # the imaginary residue of D is rounding-scale by construction; a bound
-    # it cannot meet must turn into a hard error, not a silent discard
-    real = tms_realization(0.7)
-    ms = build_moment_system(real.G, real.C)
-    assert ms.D.dtype.kind == "f"
-    import gsynth.dynamics as dyn
-
-    # threshold floors a tolerance at rounding, so the unmeetable bound is its result
-    monkeypatch.setattr(dyn, "threshold", lambda scale, tol: -1.0)
-    with pytest.raises(GsynthError):
-        dyn.build_moment_system(real.G, real.C)
+def test_diffusion_is_real_half_of_b_b_dagger():
+    # D = Sigma Re(C^dag C) Sigma.T is real by construction; the reference is
+    # the textbook (1/2) B B^dag with B = i Sigma [-C^dag  C.T]
+    rng = np.random.default_rng(105)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        n = int(rng.integers(1, 33))
+        rows = int(rng.integers(1, 4))
+        phases = np.exp(2j * np.pi * rng.random((rows, 2 * n)))
+        c = 10.0 ** rng.uniform(-3, 3, size=(rows, 2 * n)) * phases
+        ms = build_moment_system(np.zeros((2 * n, 2 * n)), c)
+        sig = symplectic_form(n)
+        b = 1j * sig @ np.hstack([-c.conj().T, c.T])
+        expected = 0.5 * (b @ b.conj().T).real
+        assert ms.D.dtype.kind == "f"
+        assert np.abs(ms.D - expected).max() <= 8 * eps * np.abs(expected).max()
 
 
 def test_evolve_fixed_point_is_constant():

@@ -1,5 +1,7 @@
 """Tests for the Gaussian-state data model and metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,35 @@ def test_symplectic_form_identities():
         sig = symplectic_form(n)
         assert_allclose(sig.T, -sig, atol=0)
         assert_allclose(sig @ sig, -np.eye(2 * n), atol=0)
+
+
+def test_symplectic_form_is_shared_and_read_only():
+    sig = symplectic_form(3)
+    assert symplectic_form(3) is sig
+    with pytest.raises(ValueError):
+        sig[0, 3] = 2.0
+    assert sig[0, 3] == 1.0
+
+
+def test_graph_matrix_is_immutable_and_leaves_inputs_writable():
+    x = np.array([[0.1, 0.2], [0.2, 0.3]])
+    y = np.array([[2.0, 0.5], [0.5, 1.0]])
+    graph = GraphMatrix(x, y)
+    for part in (graph.X, graph.Y, graph.Z, graph._y_inv):
+        with pytest.raises(ValueError):
+            part[0, 0] = 7.0
+    # the graph holds its own copies: the caller's arrays stay writable and apart
+    x[0, 0] = 7.0
+    y[0, 0] = 7.0
+    assert graph.X[0, 0] == 0.1 and graph.Y[0, 0] == 2.0
+    assert graph.Z is graph.Z
+    assert graph._y_inv is graph._y_inv
+    assert_allclose(graph._y_inv @ graph.Y, np.eye(2), atol=1e-15)
+    # the cached facts stay out of the fields; a replaced graph computes its own
+    assert repr(graph) == repr(GraphMatrix(graph.X, graph.Y))
+    moved = dataclasses.replace(graph, X=np.zeros((2, 2)))
+    assert moved.Z is not graph.Z
+    assert moved.Z.tobytes() == (1j * graph.Y).tobytes()
 
 
 def test_covariance_rejects_unphysical():

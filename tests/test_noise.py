@@ -217,6 +217,27 @@ def test_robustness_without_coupling_needs_a_bath_on_every_mode():
     assert_allclose(full.without_coupling.covariance.V, 10.5 * np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_robustness_branches_match_stacked_rows(seed):
+    # both branches against steady states of the thermal rows stacked under
+    # C and under nothing; the without branch forms no coupling product
+    from gsynth import synthesize
+    from conftest import random_feasible_graph
+
+    rng = np.random.default_rng(seed)
+    graph = random_feasible_graph(rng)
+    real = synthesize(graph)
+    n = graph.n_modes
+    target = graph_to_covariance(graph)
+    baths = [ch for m in range(n) for ch in bath_channels(m, THERMAL_GAMMA, THERMAL_NBAR)]
+    rows = np.vstack([channel_row(ch, n) for ch in baths])
+    report = robustness_report(real, baths, target)
+    for metrics, c in ((report.with_coupling, np.vstack([real.C, rows])),
+                       (report.without_coupling, rows)):
+        expected = steady_state(build_moment_system(real.G, c)).V
+        assert np.abs(metrics.covariance.V - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_design_checks_skip_eigensolvers(monkeypatch):
     # on an N = 16 design, every validity check is settled by Cholesky and
     # the bath-only steady state by the per-mode closed form

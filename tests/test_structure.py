@@ -249,6 +249,35 @@ def test_decompose_two_mode_squeezed():
     assert dec.permutation.image == (0, 1)
 
 
+def test_decompose_is_kept_per_graph_and_tolerance(monkeypatch):
+    import gsynth.structure
+
+    calls = []
+    classify = gsynth.structure._decompose
+
+    def counted(graph, tol):
+        calls.append(tol)
+        return classify(graph, tol)
+
+    monkeypatch.setattr(gsynth.structure, "_decompose", counted)
+    # a pair 1e-6 off the family: infeasible at the default tolerance, feasible at 1e-3
+    z = tms_graph(0.7).Z + 1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    graph = GraphMatrix(z.real, z.imag)
+    strict = decompose(graph)
+    assert not strict.feasible
+    assert decompose(graph) is strict
+    loose = decompose(graph, 1e-3)
+    assert loose.feasible
+    assert decompose(graph, 1e-3) is loose
+    assert calls == [1e-9, 1e-3]
+    # an equal graph is another object and classifies afresh
+    assert decompose(GraphMatrix(z.real, z.imag)) is not strict
+    assert len(calls) == 3
+    # the kept blocks are shared, so they are read-only
+    with pytest.raises(ValueError):
+        loose.blocks[0].block[0, 0] = 0.0
+
+
 def test_decompose_single_mode():
     dec = decompose(GraphMatrix(np.array([[0.4]]), np.array([[1.3]])))
     assert dec.feasible

@@ -1,5 +1,8 @@
 """Tests for the realization construction chain."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,13 +17,14 @@ from gsynth import (
     build_Gamma,
     build_R,
     decompose,
+    factor_covariance,
     graph_to_covariance,
     states,
     symplectic_form,
     synthesize,
     verify_constraints,
 )
-from gsynth.dynamics import _van_loan_step, build_moment_system, steady_state
+from gsynth.dynamics import _van_loan_step, build_moment_system, steady_state, verify_generation
 from gsynth.numerics import eig, expm
 from conftest import (
     SQRT6_2,
@@ -489,3 +493,75 @@ def test_rank_test_agrees_with_hautus():
                 accepted += fast
                 assert (fast or is_controllable(q, p, tol)) == is_controllable(q, p, tol)
     assert accepted > 0
+
+
+STORED_BYTES = Path(__file__).parent / "data" / "synthesize_bytes.json"
+
+
+@pytest.mark.parametrize("fixture", ["tms", "eight-mode", "cluster"])
+def test_synthesize_matches_stored_bytes(fixture):
+    # the design path builds one Realization with G = diag(R, R) in place of
+    # the general G it once checked and replaced: no output bit may move
+    stored = json.loads(STORED_BYTES.read_text())[fixture]
+    graph = {"tms": lambda: tms_graph(0.7), "eight-mode": eight_mode_graph,
+             "cluster": lambda: cluster_parts(0.5).graph}[fixture]()
+    if "infeasible" in stored:
+        with pytest.raises(InfeasibleStateError) as info:
+            synthesize(graph)
+        assert info.value.certificate.reason == stored["infeasible"]
+        return
+    real = synthesize(graph)
+    assert list(decompose(graph).permutation.image) == stored["permutation"]
+    for name in ("R", "Gamma", "P", "G", "C"):
+        got, want = getattr(real, name), stored[name]
+        assert (str(got.dtype), list(got.shape)) == (want["dtype"], want["shape"]), name
+        expected = np.frombuffer(bytes.fromhex(want["bytes"]), dtype=got.dtype).reshape(got.shape)
+        assert got.tobytes() == expected.tobytes(), (name, np.abs(got - expected).max())
+
+
+def test_design_op_computes_each_fact_once(monkeypatch):
+    # one feasible design op as the benchmark runs it: factor -> decompose ->
+    # synthesize -> graph_to_covariance -> verify_generation
+    import gsynth.structure
+    from gsynth import CovarianceMatrix, Realization
+
+    counts = {"classify": 0, "realization": 0}
+    inverted = []
+    classify, post_init, inv = gsynth.structure._decompose, Realization.__post_init__, np.linalg.inv
+
+    def counted_classify(graph, tol):
+        counts["classify"] += 1
+        return classify(graph, tol)
+
+    def counted_post_init(self):
+        counts["realization"] += 1
+        post_init(self)
+
+    def recorded_inv(a):
+        inverted.append(np.array(a))
+        return inv(a)
+
+    feasible = random_feasible_graph(np.random.default_rng(12))
+    target = CovarianceMatrix(graph_to_covariance(feasible).V)
+    monkeypatch.setattr(gsynth.structure, "_decompose", counted_classify)
+    monkeypatch.setattr(Realization, "__post_init__", counted_post_init)
+    monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+    graph = factor_covariance(target)
+    assert decompose(graph).feasible
+    report = verify_generation(synthesize(graph), graph_to_covariance(graph))
+    assert report.generates_target and report.constraints.all_ok
+    inverses_of_y = sum(a.shape == graph.Y.shape and np.array_equal(a, graph.Y) for a in inverted)
+    assert counts == {"classify": 1, "realization": 1}
+    assert inverses_of_y == 1
+
+
+@pytest.mark.parametrize("alpha", [4.5, 5.0])
+def test_strongly_squeezed_feasible_state_is_synthesizable(alpha):
+    # build_R judges -Z R Z = R at the rounding scale of the products,
+    # |Z|^2 max(1, |R|), so a certified state is also synthesized
+    target = states.two_mode_squeezed(alpha)
+    graph = factor_covariance(target)
+    assert decompose(graph).feasible
+    report = verify_generation(synthesize(graph), target)
+    assert report.generates_target
+    assert report.constraints.all_ok
