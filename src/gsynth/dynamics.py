@@ -17,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidDiffusionError, NotHurwitzError
+from .errors import DimensionError, InvalidCovarianceError, InvalidDiffusionError, NotHurwitzError
 from .gaussian import CovarianceMatrix, purity, symplectic_form
 from .numerics import (
     DEFAULT_TOL,
-    HURWITZ_TOL,
     expm,
     least_eigenvalue_unless_above,
     max_abs,
     solve_lyapunov,
-    solves_lyapunov,
     symmetrized,
     threshold,
 )
@@ -99,63 +97,16 @@ def _moment_matrices(g, c) -> tuple[np.ndarray, np.ndarray]:
 def steady_state(system: MomentSystem) -> CovarianceMatrix:
     """Unique steady-state covariance of a stable moment system.
 
-    A system whose drift and diffusion have no entry outside the per-mode
-    ``(q_j, p_j)`` 2 x 2 blocks, such as a passive diagonal Hamiltonian
-    under thermal baths alone, splits into N independent 2 x 2 Lyapunov
-    equations. They are solved in closed form as one batch
-    (:func:`_per_mode_lyapunov`). Every other system, and a per-mode
-    answer that fails the residual bound of :func:`solves_lyapunov`, goes
-    to :func:`solve_lyapunov`.
+    The solution of ``A V + V A.T + D = 0`` from
+    :func:`gsynth.numerics.solve_lyapunov`, which solves a system of
+    independent per-mode blocks, such as a passive diagonal Hamiltonian
+    under thermal baths alone, in closed form.
 
-    Raises ``NotHurwitzError`` when the drift is not Hurwitz.
+    Raises ``NotHurwitzError`` when the drift is not Hurwitz, and
+    ``InvalidCovarianceError`` when the solution violates the uncertainty
+    relation.
     """
-    v = _per_mode_lyapunov(system.A, system.D)
-    return CovarianceMatrix(solve_lyapunov(system.A, system.D) if v is None else v)
-
-
-def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:
-    """The steady state of a system that splits into per-mode 2 x 2 blocks, or None.
-
-    For one block ``a`` with trace ``t`` and determinant ``det``,
-    Cayley-Hamilton gives the solution of ``a v + v a.T + d = 0`` as
-    ``v = -(det d + e d e.T) / (2 t det)`` with ``e = a - t I``. A 2 x 2
-    drift has every eigenvalue's real part below ``-HURWITZ_TOL`` exactly
-    when ``a + HURWITZ_TOL I`` has negative trace and positive determinant
-    (Routh-Hurwitz), so the verdict needs no eigensolver and uses the same
-    guard as :func:`solve_lyapunov`. Returns None, to fall back, when the
-    system has an inter-mode entry or a non-finite one, or when the answer
-    fails :func:`solves_lyapunov`.
-    """
-    n = a.shape[0] // 2
-    # a per-mode matrix has at most 4 N nonzeros, so a coupled drift is
-    # turned away after one count
-    if np.count_nonzero(a) > 4 * n or np.count_nonzero(d) > 4 * n:
-        return None
-    # blocks[j] is the 2 x 2 restriction of a matrix to (q_j, p_j)
-    modes = np.arange(n)
-    a_blocks = a.reshape(2, n, 2, n)[:, modes, :, modes]
-    d_blocks = d.reshape(2, n, 2, n)[:, modes, :, modes]
-    if (np.count_nonzero(a_blocks) != np.count_nonzero(a)
-            or np.count_nonzero(d_blocks) != np.count_nonzero(d)
-            or not (np.isfinite(a_blocks).all() and np.isfinite(d_blocks).all())):
-        return None
-    a11, a12, a21, a22 = a_blocks.reshape(n, 4).T
-    if not np.all((a11 + a22 + 2.0 * HURWITZ_TOL < 0.0)
-                  & ((a11 + HURWITZ_TOL) * (a22 + HURWITZ_TOL) - a12 * a21 > 0.0)):
-        raise NotHurwitzError(
-            "drift matrix is not Hurwitz; the steady-state equation has no unique solution"
-        )
-    det = a11 * a22 - a12 * a21
-    if not np.all(det > 0.0):
-        # rounding contradicts the verdict: a Hurwitz block has det > 0
-        return None
-    trace = (a11 + a22)[:, None, None]
-    det = det[:, None, None]
-    e = a_blocks - trace * np.eye(2)
-    blocks = -(det * d_blocks + e @ d_blocks @ e.transpose(0, 2, 1)) / (2.0 * trace * det)
-    v = np.zeros_like(a)
-    v.reshape(2, n, 2, n)[:, modes, :, modes] = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-    return v if solves_lyapunov(a, v, d) else None
+    return CovarianceMatrix(solve_lyapunov(system.A, system.D))
 
 
 @dataclass(frozen=True)
@@ -277,7 +228,10 @@ class GenerationReport:
     """Outcome of checking a design against its target covariance.
 
     ``tolerance`` is the bound the max-norm error was compared with, the
-    target tolerance at the scale of the target.
+    target tolerance at the scale of the target. ``steady_covariance`` is
+    None when the drift is not Hurwitz or the steady state violates the
+    uncertainty relation; either way the design does not generate the
+    target.
     """
 
     hurwitz: bool
@@ -290,7 +244,7 @@ class GenerationReport:
 
     @property
     def generates_target(self) -> bool:
-        return self.hurwitz and self.max_error <= self.tolerance
+        return self.steady_covariance is not None and self.max_error <= self.tolerance
 
 
 def verify_generation(realization: Realization, target: CovarianceMatrix,
@@ -298,15 +252,16 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
                       constraint_tol: float = DEFAULT_TOL) -> GenerationReport:
     """Solve the design's steady state and compare it with ``target``.
 
-    Never raises on a failing design: instability or a mismatch is reported
-    through the flags and the max-norm error. ``extra_rows`` stacks
-    parasitic coupling rows (for example thermal channels) under the
-    designed coupling before solving; the constraint flags still refer to
-    the designed coupling alone. The max-norm error passes when it is at
-    most ``threshold(max|target.V|, tol)``, the bound stored as
-    ``tolerance``: absolute at unit scale, relative above it, so a
-    strongly squeezed target is judged against its own entries.
-    ``constraint_tol`` is the structural tolerance of the one
+    Never raises on a failing design: instability, a steady state that
+    violates the uncertainty relation (its error and residual are those of
+    the raw solve) or a mismatch is reported through the flags and the
+    max-norm error. ``extra_rows`` stacks parasitic coupling rows (for
+    example thermal channels) under the designed coupling before solving;
+    the constraint flags still refer to the designed coupling alone. The
+    max-norm error passes when it is at most ``threshold(max|target.V|,
+    tol)``, the bound stored as ``tolerance``: absolute at unit scale,
+    relative above it, so a strongly squeezed target is judged against its
+    own entries. ``constraint_tol`` is the structural tolerance of the one
     :func:`verify_constraints` call, whose report is ``constraints``.
     """
     c_all = realization.C
@@ -316,19 +271,22 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
     constraints = verify_constraints(realization, constraint_tol)
     bound = threshold(max_abs(target.V), tol)
     try:
-        v_inf = steady_state(system)
+        v = solve_lyapunov(system.A, system.D)
     except NotHurwitzError:
         return GenerationReport(
             hurwitz=False, lyapunov_residual=float("inf"), max_error=float("inf"),
             steady_purity=float("nan"), constraints=constraints, tolerance=bound,
             steady_covariance=None,
         )
-    residual = float(np.linalg.norm(system.A @ v_inf.V + v_inf.V @ system.A.T + system.D))
+    try:
+        v_inf = CovarianceMatrix(v)
+    except InvalidCovarianceError:
+        v_inf = None
     return GenerationReport(
         hurwitz=True,
-        lyapunov_residual=residual,
-        max_error=max_abs(v_inf.V - target.V),
-        steady_purity=purity(v_inf),
+        lyapunov_residual=float(np.linalg.norm(system.A @ v + v @ system.A.T + system.D)),
+        max_error=max_abs(v - target.V),
+        steady_purity=float("nan") if v_inf is None else purity(v_inf),
         constraints=constraints,
         tolerance=bound,
         steady_covariance=v_inf,

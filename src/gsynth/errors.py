@@ -25,8 +25,9 @@ class NotPureStateError(GsynthError):
 
 
 class DegenerateCovarianceError(GsynthError):
-    """The position block of the covariance matrix is singular, so the
-    graph-matrix factorization does not exist."""
+    """The position block of the covariance matrix is singular, or so large
+    that its inverse falls below the graph matrix's positive-definiteness
+    floor, so the graph-matrix factorization does not exist."""
 
 
 class InvalidCovarianceError(GsynthError):

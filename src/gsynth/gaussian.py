@@ -193,7 +193,8 @@ def factor_covariance(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> GraphM
     NotPureStateError
         If the determinant test for purity fails at tolerance ``tol``.
     DegenerateCovarianceError
-        If the position block is singular.
+        If the position block is singular, or so large that ``Y`` is not a
+        valid graph part (positive definite above ``POSDEF_TOL``, finite).
     """
     if not cov.is_pure(tol):
         message = f"state is not pure (purity {purity(cov):.6f})"
@@ -211,7 +212,10 @@ def factor_covariance(cov: CovarianceMatrix, tol: float = DEFAULT_TOL) -> GraphM
         raise DegenerateCovarianceError("position block of the covariance is singular") from exc
     x = y @ (2.0 * v_qp)
     # Purity guarantees symmetry of both factors; discard rounding skew.
-    return GraphMatrix(0.5 * (x + x.T), 0.5 * (y + y.T))
+    try:
+        return GraphMatrix(0.5 * (x + x.T), 0.5 * (y + y.T))
+    except ValueError as exc:
+        raise DegenerateCovarianceError(f"covariance has no graph matrix: {exc}") from exc
 
 
 def graph_to_covariance(graph: GraphMatrix) -> CovarianceMatrix:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NotHurwitzError
+from .errors import InvalidCovarianceError, NotHurwitzError
 from .gaussian import CovarianceMatrix, log_negativity, purity, symplectic_form
 from .numerics import max_abs
 from .dynamics import MomentSystem, _moment_matrices, steady_state
@@ -144,7 +144,8 @@ class RobustnessReport:
     """Steady-state quality with and without the designed coupling.
 
     A branch is ``None`` when the corresponding system is unstable and has
-    no steady state. ``target_distance`` is the max-norm distance of the
+    no steady state, or when its solved steady state violates the
+    uncertainty relation. ``target_distance`` is the max-norm distance of the
     with-coupling steady state from the target.
     """
 
@@ -156,7 +157,7 @@ class RobustnessReport:
 def _metrics(system: MomentSystem) -> SteadyMetrics | None:
     try:
         v = steady_state(system)
-    except NotHurwitzError:
+    except (NotHurwitzError, InvalidCovarianceError):
         return None
     neg = log_negativity(v) if v.n_modes == 2 else None
     return SteadyMetrics(covariance=v, purity=purity(v), log_negativity=neg)

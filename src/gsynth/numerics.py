@@ -1,16 +1,19 @@
 """Dense real/complex matrix substrate and the tolerance policy.
 
 Everything here targets small dense problems (matrix dimension at most 64):
-eigendecomposition, toleranced rank, a Lyapunov solve by diagonalization
-with Bartels-Stewart as its certified fallback, matrix exponentials and
-permutation bookkeeping. All functions are pure and safe to call
-concurrently.
+eigendecomposition, toleranced rank, the one Lyapunov solver (per-mode
+closed form, then the drift's eigenbasis, then scipy's Bartels-Stewart),
+matrix exponentials and permutation bookkeeping. All functions are pure
+and safe to call concurrently, save that the fallback of
+:func:`solve_lyapunov` silences a scipy warning through
+``warnings.catch_warnings``, which changes process-wide filter state.
 
-Only the Bartels-Stewart fallback of :func:`solve_lyapunov` needs scipy,
-and it imports ``scipy.linalg`` when it runs. The eigenbasis solve and
-:func:`expm` (Higham's scaling and squaring Pade) use numpy alone, so
-importing the package or its command line, and running any command on a
-drift with a well-conditioned eigenbasis, loads no scipy module.
+Only the fallback of :func:`solve_lyapunov` needs scipy, and it imports
+``scipy.linalg`` when it runs. The Hurwitz verdict, the closed-form and
+eigenbasis solves and :func:`expm` (Higham's scaling and squaring Pade)
+use numpy alone, so importing the package or its command line, refusing
+an unstable drift, and running any command on a drift with a
+well-conditioned eigenbasis load no scipy module.
 
 Tolerance policy: a residual ``err`` of a structural test on data of scale
 ``s`` (the max-norm of the entries it came from) counts as zero when
@@ -26,6 +29,7 @@ that do not follow the rule yet are listed in :func:`threshold`.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,8 @@ DEFAULT_TOL = 1e-9
 
 #: Absolute bound on the spectral abscissa below which a matrix counts as Hurwitz.
 HURWITZ_TOL = 1e-12
+
+_NOT_HURWITZ = "drift matrix is not Hurwitz; the steady-state equation has no unique solution"
 
 
 def max_abs(a) -> float:
@@ -66,8 +72,8 @@ def threshold(scale, tol: float = DEFAULT_TOL) -> float:
     * the fixed bounds ``HURWITZ_TOL`` and ``gaussian.POSDEF_TOL``
       (absolute);
     * the Lyapunov residual bounds in :func:`solve_lyapunov` (Frobenius
-      norms, relative with no floor): ``16 n eps`` to accept the eigenbasis
-      answer, 1e-10 to refuse Bartels-Stewart's.
+      norms, relative with no floor): ``16 n eps`` to accept the closed-form
+      or eigenbasis answer, 1e-10 to refuse scipy's fallback answer.
     """
     return max(tol, TOL_FLOOR) * max(1.0, scale)
 
@@ -165,22 +171,30 @@ def is_hurwitz(a) -> bool:
 def solve_lyapunov(a, d) -> NDArray[np.float64]:
     """Solve ``a @ v + v @ a.T + d = 0`` for symmetric ``v``.
 
-    Diagonalization first, with numpy alone: one ``np.linalg.eig(a) =
-    (w, s)``. When the spectral abscissa is below ``-HURWITZ_TOL`` by more
-    than the rounding of the spectrum and ``s`` inverts, the equation is
-    diagonal in the eigenbasis, ``y_ij = -(s^-1 d s^-H)_ij / (w_i +
-    conj(w_j))``, and ``v = Re(s y s^H)``, symmetrized. That answer is
-    returned only when it passes :func:`solves_lyapunov`, a relative
-    residual of at most ``16 n eps``.
+    The one place a steady state is solved, cheapest route first:
 
-    Every other case goes to Bartels-Stewart (:func:`_bartels_stewart`),
-    whose answer is bitwise scipy's ``solve_continuous_lyapunov``: a
-    non-finite ``d``, a clustered or defective spectrum, a singular or
-    ill-conditioned ``s``, a residual above the bound, and an abscissa at or
-    near the guard. So every :class:`NotHurwitzError` and every
-    ill-conditioned verdict comes from the real Schur form, and only this
-    fallback imports ``scipy.linalg``. The noise matrix is checked and
-    symmetrized by :func:`symmetrized`.
+    1. A drift and noise of even order with no entry outside the per-mode
+       ``(q_j, p_j)`` 2 x 2 blocks, such as a passive diagonal Hamiltonian
+       under thermal baths alone, split into independent 2 x 2 equations,
+       solved in closed form with a Routh-Hurwitz verdict
+       (:func:`_per_mode_lyapunov`).
+    2. Otherwise one ``np.linalg.eig(a) = (w, s)``. A spectral abscissa
+       not below ``-HURWITZ_TOL``, the rule of :func:`is_hurwitz`, raises
+       :class:`NotHurwitzError`. When ``s`` inverts, the equation is
+       diagonal in the eigenbasis, ``y_ij = -(s^-1 d s^-H)_ij / (w_i +
+       conj(w_j))``, and ``v = Re(s y s^H)``, symmetrized, is returned if
+       it passes :func:`solves_lyapunov`.
+    3. Every other case (a clustered or defective spectrum, a singular or
+       ill-conditioned ``s``, a non-finite ``d``) goes to scipy's
+       ``solve_continuous_lyapunov`` (Bartels-Stewart), the only code that
+       imports ``scipy.linalg``. Its answer is symmetrized and refused
+       when its relative residual exceeds 1e-10. scipy warns when its
+       triangular solve perturbs a near-zero eigenvalue sum; that warning
+       is silenced and the residual decides.
+
+    The first two use numpy alone, so a non-Hurwitz drift is refused
+    without loading scipy. The noise matrix is checked and symmetrized by
+    :func:`symmetrized`.
 
     Raises
     ------
@@ -200,25 +214,78 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     d = symmetrized(d, "noise matrix")
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    v = _modal_lyapunov(a, d)
-    return _bartels_stewart(a, d) if v is None else v
+    v = _per_mode_lyapunov(a, d) if a.shape[0] % 2 == 0 else None
+    if v is None:
+        w, s = np.linalg.eig(a)
+        if not w.real.max() < -HURWITZ_TOL:
+            raise NotHurwitzError(_NOT_HURWITZ)
+        v = _modal_lyapunov(a, d, w, s)
+    if v is not None:
+        return v
+    import scipy.linalg
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        v = scipy.linalg.solve_continuous_lyapunov(a, -d)
+    v = 0.5 * (v + v.T)
+    residual = np.linalg.norm(a @ v + v @ a.T + d)
+    bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d))
+    if residual > bound:
+        raise NotHurwitzError(
+            f"Lyapunov solve is ill-conditioned (residual {residual:.3e} exceeds {bound:.3e})"
+        )
+    return v
 
 
-def _modal_lyapunov(a: np.ndarray, d: np.ndarray) -> NDArray[np.float64] | None:
-    """The eigenbasis solution of ``a v + v a.T + d = 0``, or None to fall back."""
-    n = a.shape[0]
-    eps = np.finfo(float).eps
-    w, s = np.linalg.eig(a)
+def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+    """The solution for a system that splits into per-mode 2 x 2 blocks, or None.
+
+    For one block ``a`` with trace ``t`` and determinant ``det``,
+    Cayley-Hamilton gives the solution of ``a v + v a.T + d = 0`` as
+    ``v = -(det d + e d e.T) / (2 t det)`` with ``e = a - t I``. A 2 x 2
+    drift has every eigenvalue's real part below ``-HURWITZ_TOL`` exactly
+    when ``a + HURWITZ_TOL I`` has negative trace and positive determinant
+    (Routh-Hurwitz), so the verdict needs no eigensolver and uses the same
+    guard as :func:`is_hurwitz`. Returns None, to fall back, when the
+    system has an inter-mode entry or a non-finite one, or when the answer
+    fails :func:`solves_lyapunov`.
+    """
+    n = a.shape[0] // 2
+    # a per-mode matrix has at most 4 N nonzeros, so a coupled drift is
+    # turned away after one count
+    if np.count_nonzero(a) > 4 * n or np.count_nonzero(d) > 4 * n:
+        return None
+    # blocks[j] is the 2 x 2 restriction of a matrix to (q_j, p_j)
+    modes = np.arange(n)
+    a_blocks = a.reshape(2, n, 2, n)[:, modes, :, modes]
+    d_blocks = d.reshape(2, n, 2, n)[:, modes, :, modes]
+    if (np.count_nonzero(a_blocks) != np.count_nonzero(a)
+            or np.count_nonzero(d_blocks) != np.count_nonzero(d)
+            or not (np.isfinite(a_blocks).all() and np.isfinite(d_blocks).all())):
+        return None
+    a11, a12, a21, a22 = a_blocks.reshape(n, 4).T
+    if not np.all((a11 + a22 + 2.0 * HURWITZ_TOL < 0.0)
+                  & ((a11 + HURWITZ_TOL) * (a22 + HURWITZ_TOL) - a12 * a21 > 0.0)):
+        raise NotHurwitzError(_NOT_HURWITZ)
+    det = a11 * a22 - a12 * a21
+    if not np.all(det > 0.0):
+        # rounding contradicts the verdict: a Hurwitz block has det > 0
+        return None
+    trace = (a11 + a22)[:, None, None]
+    det = det[:, None, None]
+    e = a_blocks - trace * np.eye(2)
+    blocks = -(det * d_blocks + e @ d_blocks @ e.transpose(0, 2, 1)) / (2.0 * trace * det)
+    v = np.zeros_like(a)
+    v.reshape(2, n, 2, n)[:, modes, :, modes] = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    return v if solves_lyapunov(a, v, d) else None
+
+
+def _modal_lyapunov(a: np.ndarray, d: np.ndarray, w: np.ndarray,
+                    s: np.ndarray) -> NDArray[np.float64] | None:
+    """The solution in the eigenbasis ``a = s diag(w) s^-1``, or None to fall back."""
     try:
         s_inv = np.linalg.inv(s)
     except np.linalg.LinAlgError:
-        return None
-    norm_a = np.linalg.norm(a)
-    # Bauer-Fike: rounding moves a computed eigenvalue by about
-    # kappa(s) n eps ||a|| at most (||s|| = sqrt(n), its columns have unit
-    # norm), so past this margin the Schur form's guard passes too
-    margin = np.sqrt(n) * np.linalg.norm(s_inv) * n * eps * norm_a
-    if not w.real.max() + margin < -HURWITZ_TOL:
         return None
     y = (s_inv @ d @ s_inv.conj().T) / -(w[:, None] + w.conj()[None, :])
     v = (s @ y @ s.conj().T).real
@@ -235,52 +302,12 @@ def solves_lyapunov(a, v, d) -> bool:
     ||v||``, so an exact answer reads about ``2 n eps`` (benchmark designs,
     their thermal variants and bath-only drifts at n = 4..64 read at most
     that). 8 times it, 16 n eps, is 2.3e-13 at n = 64: over 400 times below
-    the 1e-10 at which Bartels-Stewart's answer is refused. A NaN residual
+    the 1e-10 at which scipy's fallback answer is refused. A NaN residual
     fails.
     """
     residual = np.linalg.norm(a @ v + v @ a.T + d)
     bound = 16.0 * a.shape[0] * np.finfo(float).eps
     return bool(residual <= bound * (np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d)))
-
-
-def _bartels_stewart(a: np.ndarray, d: np.ndarray) -> NDArray[np.float64]:
-    """Bartels-Stewart on one real Schur form ``a = u t u.T``, bitwise scipy's.
-
-    In LAPACK's standardized real Schur form ``diag(t)`` holds the real
-    part of every eigenvalue, so the Hurwitz guard (the same
-    ``-HURWITZ_TOL`` bound as :func:`is_hurwitz`) reads it from ``t``;
-    LAPACK's ``?trsyl`` then solves the triangular equation. The output is
-    symmetrized, and a relative residual above 1e-10 rejects an
-    ill-conditioned solution. The one place the package imports scipy.
-    """
-    import scipy.linalg
-
-    t, u = scipy.linalg.schur(a, output="real")
-    if not np.diag(t).max() < -HURWITZ_TOL:
-        raise NotHurwitzError(
-            "drift matrix is not Hurwitz; the steady-state equation has no unique solution"
-        )
-    q = -d
-    if not np.isfinite(q).all():
-        raise ValueError("array must not contain infs or NaNs")
-    # the products in scipy's solve_continuous_lyapunov order, so the result
-    # is bitwise what that call returns
-    f = u.conj().T.dot(q.dot(u))
-    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t, f))
-    y, scale, info = trsyl(t, t, f, tranb="T")
-    if info < 0:
-        raise ValueError(f"?trsyl: illegal value in argument number {-info}")
-    # info == 1: trsyl perturbed a near-zero eigenvalue sum; the residual check decides
-    y *= scale
-    v = u.dot(y).dot(u.conj().T)
-    v = 0.5 * (v + v.T)
-    residual = np.linalg.norm(a @ v + v @ a.T + d)
-    bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d))
-    if residual > bound:
-        raise NotHurwitzError(
-            f"Lyapunov solve is ill-conditioned (residual {residual:.3e} exceeds {bound:.3e})"
-        )
-    return v
 
 
 # Higham (2005), "The scaling and squaring method for the matrix exponential

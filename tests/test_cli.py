@@ -527,7 +527,7 @@ import gsynth.cli
 def scipy_loaded():
     return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
 
-good, bad, out = sys.argv[1:4]
+good, bad, unstable, out = sys.argv[1:5]
 design, noisy = out + "/design.json", out + "/noisy.json"
 seen = {"import": [None, scipy_loaded()]}
 for name, argv in (("analyze", ["analyze", good]),
@@ -539,7 +539,9 @@ for name, argv in (("analyze", ["analyze", good]),
                    ("simulate", ["simulate", design, "--t-max", "6", "--steps", "13"]),
                    ("thermal", ["thermal", design, "--gamma", "0.01", "--nbar", "10",
                                 "--emit", noisy]),
-                   ("simulate thermal", ["simulate", noisy, "--steps", "5"])):
+                   ("simulate thermal", ["simulate", noisy, "--steps", "5"]),
+                   ("synthesize unstable", ["synthesize", unstable, "-o", out + "/unstable.json"]),
+                   ("verify unstable", ["verify", out + "/unstable.json", unstable])):
     with contextlib.redirect_stdout(io.StringIO()):
         code = gsynth.cli.main(argv)
     seen[name] = [code, scipy_loaded()]
@@ -550,9 +552,11 @@ print(json.dumps(seen))
 def test_cold_path_does_not_load_scipy(tmp_path):
     # every command, including a feasible synthesize and the steady-state
     # and propagation work of verify, simulate and thermal, runs on numpy
-    # alone: the eigenbasis Lyapunov solve and the numpy Pade exponential
+    # alone: the eigenbasis Lyapunov solve and the numpy Pade exponential.
+    # A design that is not Hurwitz is refused on its eig alone.
     bad = tmp_path / "cluster.json"
     save_covariance(bad, cluster_parts(0.5).cov)
+    unstable = _scalar_beside_tms(tmp_path / "unstable.json", 1e10j)
     env = {**os.environ, "PYTHONPATH": str(Path(gsynth.__file__).resolve().parents[1])}
     env.pop("GSYNTH_TOL", None)
     for name, cov in (("tms", states.two_mode_squeezed(0.7)),
@@ -561,7 +565,8 @@ def test_cold_path_does_not_load_scipy(tmp_path):
         out.mkdir()
         good = out / "good.json"
         save_covariance(good, cov)
-        proc = subprocess.run([sys.executable, "-c", COLD_PATH, str(good), str(bad), str(out)],
+        proc = subprocess.run([sys.executable, "-c", COLD_PATH, str(good), str(bad),
+                               str(unstable), str(out)],
                               env=env, capture_output=True, text=True, timeout=120, check=True)
         seen = json.loads(proc.stdout.strip().splitlines()[-1])
         assert seen == {
@@ -575,6 +580,8 @@ def test_cold_path_does_not_load_scipy(tmp_path):
             "simulate": [0, False],
             "thermal": [0, False],
             "simulate thermal": [0, False],
+            "synthesize unstable": [0, False],
+            "verify unstable": [0, False],
         }, name
         realization, _ = load_realization(out / "design.json")
         assert realization.n_channels == 1
@@ -592,18 +599,23 @@ def test_feasible_at_zero_tolerance(tmp_path, capsys):
     assert json.loads(out)["pure"] is True
 
 
-@pytest.mark.parametrize("scalar, hurwitz", [(1e4 * (0.3 + 1j), True), (1e10j, False)])
-def test_synthesize_beside_a_large_scalar(tmp_path, capsys, scalar, hurwitz):
-    # the diffusion and physicality floors scale with their matrices, so a
-    # large lone scalar beside tms(0.7) neither stops on an absolute floor
-    # nor escapes as a traceback; at 1e10 the design is not Hurwitz
+def _scalar_beside_tms(path, scalar):
+    """Write the graph of ``tms(0.7)`` beside a lone scalar ``z_33 = scalar``."""
     from gsynth import GraphMatrix, factor_covariance
 
     z = np.zeros((3, 3), dtype=complex)
     z[:2, :2] = factor_covariance(states.two_mode_squeezed(0.7)).Z
     z[2, 2] = scalar
-    path = tmp_path / "graph.json"
     save_graph(path, GraphMatrix(z.real, z.imag))
+    return path
+
+
+@pytest.mark.parametrize("scalar, hurwitz", [(1e4 * (0.3 + 1j), True), (1e10j, False)])
+def test_synthesize_beside_a_large_scalar(tmp_path, capsys, scalar, hurwitz):
+    # the diffusion and physicality floors scale with their matrices, so a
+    # large lone scalar beside tms(0.7) neither stops on an absolute floor
+    # nor escapes as a traceback; at 1e10 the design is not Hurwitz
+    path = _scalar_beside_tms(tmp_path / "graph.json", scalar)
     code, out, err = run(capsys, "synthesize", str(path), "-o", str(tmp_path / "design.json"))
     assert code == 0, err
     metrics = json.loads(out)["metrics"]
@@ -612,3 +624,68 @@ def test_synthesize_beside_a_large_scalar(tmp_path, capsys, scalar, hurwitz):
         code, out, _ = run(capsys, "verify", str(tmp_path / "design.json"), str(path))
         assert code == 0
         assert json.loads(out)["generates_target"] is True
+
+
+@pytest.mark.parametrize("scalar", [10 ** 4.75 * 1j, 1e6j], ids=["1e4.75i", "1e6i"])
+def test_ill_conditioned_design_is_written_and_fails(tmp_path, capsys, scalar):
+    # the design's spectral abscissa is about -1e-11, so its steady state
+    # misses the target, and at 10**4.75 violates the uncertainty relation;
+    # either way synthesize writes the design and verify reports failure
+    path = _scalar_beside_tms(tmp_path / "graph.json", scalar)
+    design = tmp_path / "design.json"
+    assert run(capsys, "feasible", str(path))[0] == 0
+    code, _, err = run(capsys, "synthesize", str(path), "-o", str(design))
+    assert code == 0, err
+    assert load_realization(design)[0].n_channels == 1
+    code, out, _ = run(capsys, "verify", str(design), str(path))
+    assert code == 0
+    assert json.loads(out)["generates_target"] is False
+    assert run(capsys, "thermal", str(design), "--gamma", "0.01", "--nbar", "10")[0] == 0
+
+
+def test_unphysical_steady_state_is_a_failing_design(tmp_path, capsys, monkeypatch):
+    # a Hurwitz design whose solved steady state violates the uncertainty
+    # relation is reported, not raised: hurwitz true, the raw solve's error
+    # and residual, no purity, and no robustness branch
+    import gsynth.dynamics
+
+    tms = write_tms(tmp_path)
+    design = tmp_path / "design.json"
+    unphysical = 0.4 * np.eye(4)
+    monkeypatch.setattr(gsynth.dynamics, "solve_lyapunov", lambda a, d: unphysical)
+    error = np.abs(unphysical - states.two_mode_squeezed(0.7).V).max()
+    code, out, err = run(capsys, "synthesize", str(tms), "-o", str(design))
+    assert code == 0, err
+    metrics = json.loads(out)["metrics"]
+    assert metrics["hurwitz"] is True
+    assert metrics["steady_state_max_error"] == pytest.approx(error, rel=1e-12)
+    assert metrics["lyapunov_residual"] > 0.0
+    assert metrics["steady_purity"] is None
+    code, out, _ = run(capsys, "verify", str(design), str(tms))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["hurwitz"], report["generates_target"]) == (True, False)
+    assert report["max_error"] == pytest.approx(error, rel=1e-12)
+    assert report["steady_purity"] is None
+    code, out, _ = run(capsys, "thermal", str(design), "--gamma", "0.01", "--nbar", "10")
+    assert code == 0
+    report = json.loads(out)
+    assert report["with_coupling"] is None
+    assert report["without_coupling"] is None
+    assert report["target_distance"] is None
+
+
+@pytest.mark.parametrize("command", ["analyze", "feasible", "synthesize"])
+def test_position_variance_past_the_graph_floor(tmp_path, capsys, command):
+    # V_qq = 1e12 gives Y = 5e-13, under POSDEF_TOL: one error line and
+    # exit 1, not a traceback; at 1e11 the state factors as before
+    for qq, expected in ((1e12, 1), (1e11, 0)):
+        path = tmp_path / f"wide{qq:.0e}.json"
+        path.write_text(json.dumps({"kind": "covariance", "modes": 1,
+                                    "data": [[qq, 0.0], [0.0, 0.25 / qq]]}))
+        code, out, err = run(capsys, command, str(path))
+        assert code == expected, err
+        if expected:
+            assert out == ""
+            assert err == ("error: covariance has no graph matrix: imaginary part of graph"
+                           " matrix must be positive definite\n")

@@ -350,13 +350,11 @@ def _per_mode_system(rng, n):
     return build_moment_system(g, np.array(rows))
 
 
-def _forbid_general_solve(monkeypatch):
-    import gsynth.dynamics
+def _forbid_eigensolver(monkeypatch):
+    def refuse(a):
+        raise AssertionError("the per-mode system took an eigendecomposition")
 
-    def refuse(a, d):
-        raise AssertionError("the per-mode system went to solve_lyapunov")
-
-    monkeypatch.setattr(gsynth.dynamics, "solve_lyapunov", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -365,7 +363,7 @@ def test_per_mode_steady_state_matches_scipy(seed, monkeypatch):
     n = int(rng.integers(1, 33))
     system = _per_mode_system(rng, n)
     expected = scipy.linalg.solve_continuous_lyapunov(system.A, -system.D)
-    _forbid_general_solve(monkeypatch)
+    _forbid_eigensolver(monkeypatch)
     v = steady_state(system).V
     scale = np.abs(expected).max()
     if np.abs(v - expected).max() > 1e-13 * scale:
@@ -424,7 +422,6 @@ def test_per_mode_hurwitz_verdict_matches_schur(factor, shape):
 
 @pytest.mark.parametrize("matrix", ["A", "D"])
 def test_one_inter_mode_entry_takes_the_general_solve(matrix, monkeypatch):
-    import gsynth.dynamics
     from gsynth import MomentSystem
 
     system = _per_mode_system(np.random.default_rng(7), 3)
@@ -434,9 +431,8 @@ def test_one_inter_mode_entry_takes_the_general_solve(matrix, monkeypatch):
     else:
         d[0, 4] = d[4, 0] = 0.05
     calls = []
-    solve = gsynth.dynamics.solve_lyapunov
-    monkeypatch.setattr(gsynth.dynamics, "solve_lyapunov",
-                        lambda a, d: calls.append(1) or solve(a, d))
+    real_eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or real_eig(m))
     v = steady_state(MomentSystem(A=a, D=d)).V
     assert calls == [1]
     expected = scipy.linalg.solve_continuous_lyapunov(a, -d)

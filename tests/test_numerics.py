@@ -1,6 +1,7 @@
 """Tests for the dense linear-algebra substrate and the tolerance policy."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_solve_lyapunov_rejects_shapes():
 
 
 def test_solve_lyapunov_rejects_non_finite_drift():
-    # a NaN or infinite drift is refused before the Schur form, with numpy's error
+    # a NaN or infinite drift is refused before any solve, with numpy's error
     for bad in (np.nan, np.inf, -np.inf):
         a = -np.eye(3)
         a[1, 2] = bad
@@ -186,7 +187,9 @@ def test_solve_lyapunov_rejects_non_finite_drift():
             solve_lyapunov(a, np.eye(3))
 
 
-def test_solve_lyapunov_reads_hurwitz_off_schur_form(monkeypatch):
+def test_solve_lyapunov_takes_one_spectrum(monkeypatch):
+    # the Hurwitz verdict is read off the one eig the eigenbasis solve
+    # takes: no eigvals, is_hurwitz or spectral_abscissa, and no scipy
     import gsynth.numerics
 
     def forbidden(*args, **kwargs):
@@ -195,10 +198,17 @@ def test_solve_lyapunov_reads_hurwitz_off_schur_form(monkeypatch):
     for name in ("is_hurwitz", "spectral_abscissa"):
         monkeypatch.setattr(gsynth.numerics, name, forbidden)
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
-    v = solve_lyapunov(-np.eye(2), np.eye(2))
-    assert_allclose(v, 0.5 * np.eye(2), atol=1e-14)
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", forbidden)
+    calls = []
+    real_eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or real_eig(a))
+    # odd order, so not the per-mode closed form
+    v = solve_lyapunov(-np.eye(3), np.eye(3))
+    assert_allclose(v, 0.5 * np.eye(3), atol=1e-14)
+    assert len(calls) == 1
     with pytest.raises(NotHurwitzError, match="not Hurwitz"):
-        solve_lyapunov(np.zeros((2, 2)), np.eye(2))
+        solve_lyapunov(np.zeros((3, 3)), np.eye(3))
+    assert len(calls) == 2
 
 
 def _hurwitz_guard_passes(a) -> bool:
@@ -231,36 +241,38 @@ def test_solve_lyapunov_hurwitz_guard_matches_is_hurwitz():
         assert _hurwitz_guard_passes(a) == verdict
 
 
-def _schur_path_only(monkeypatch):
-    """Refuse every eigenbasis answer, so each solve runs Bartels-Stewart."""
+def _fallback_only(monkeypatch):
+    """Refuse every closed-form and eigenbasis answer, so each solve runs scipy's."""
     import gsynth.numerics
 
-    monkeypatch.setattr(gsynth.numerics, "_modal_lyapunov", lambda a, d: None)
+    monkeypatch.setattr(gsynth.numerics, "solves_lyapunov", lambda a, v, d: False)
 
 
 def test_solve_lyapunov_trsyl_info(monkeypatch):
-    # scipy's handling of ?trsyl's info: an illegal argument raises, and a
-    # perturbed near-singular solve (info 1) is left to the residual check
-    _schur_path_only(monkeypatch)
-    real_get = scipy.linalg.get_lapack_funcs
+    # scipy warns when ?trsyl perturbs a near-zero eigenvalue sum (info 1);
+    # solve_lyapunov stays silent and its residual check decides
+    a, d = np.array([[-3e-12, 1e5], [0.0, -1.0]]), np.eye(2)
+    with pytest.warns(RuntimeWarning, match="eigenvalue pair"):
+        expected = _scipy_lyapunov(a, d)
+    _fallback_only(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # relative residual 3e-16: kept
+        assert np.array_equal(solve_lyapunov(a, d), expected)
 
-    def patched(info):
-        def get(names, arrays):
-            trsyl = real_get(names, arrays)
-            return lambda *args, **kwargs: (*trsyl(*args, **kwargs)[:2], info)
-        return get
+        def perturbed(a, q):
+            warnings.warn('Input "a" has an eigenvalue pair whose sum is very close to '
+                          'or exactly zero.', RuntimeWarning)
+            return 0.6 * np.eye(2)
 
-    a, d = -np.eye(2), np.eye(2)
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched(-3))
-    with pytest.raises(ValueError, match="argument number 3"):
-        solve_lyapunov(a, d)
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched(1))
-    assert_allclose(solve_lyapunov(a, d), 0.5 * np.eye(2), atol=1e-14)
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", perturbed)
+        with pytest.raises(NotHurwitzError, match="ill-conditioned"):
+            solve_lyapunov(-np.eye(2), np.eye(2))
 
 
 def test_solve_lyapunov_matches_scipy_bitwise(monkeypatch):
-    # the Bartels-Stewart fallback returns scipy's bits
-    _schur_path_only(monkeypatch)
+    # the fallback returns scipy's bits, symmetrized
+    _fallback_only(monkeypatch)
     rng = np.random.default_rng(29)
     for _ in range(20):
         n = int(rng.integers(1, 12))
@@ -299,25 +311,25 @@ def test_solve_lyapunov_falls_back_near_defective(monkeypatch, n):
     # a Jordan block with its corner perturbed by 10**-k has an eigenbasis of
     # condition about 10**(k (n-1) / n); past the modal residual bound the
     # fallback runs and returns scipy's bits
-    import gsynth.numerics
-
     calls = []
-    schur = gsynth.numerics._bartels_stewart
-    monkeypatch.setattr(gsynth.numerics, "_bartels_stewart",
-                        lambda a, d: calls.append(1) or schur(a, d))
+    scipy_solve = scipy.linalg.solve_continuous_lyapunov
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov",
+                        lambda a, q: calls.append(1) or scipy_solve(a, q))
     d = np.eye(n)
     for k in range(2, 15, 2):
         a = -np.eye(n) + np.diag(np.ones(n - 1), 1)
         a[-1, 0] = 10.0 ** -k
         before = len(calls)
         v = solve_lyapunov(a, d)
-        expected = _scipy_lyapunov(a, d)
+        expected = scipy_solve(a, -d)
+        expected = 0.5 * (expected + expected.T)
         if len(calls) > before:
             assert np.array_equal(v, expected)
         else:
             assert np.abs(v - expected).max() <= 1e-11 * np.abs(expected).max()
-    # from k = 4 on the eigenbasis is too ill-conditioned for the bound
-    assert len(calls) == 6
+    # from k = 4 on the eigenbasis is too ill-conditioned for the bound; a
+    # 2 x 2 drift is one mode's block, which the closed form solves
+    assert len(calls) == (0 if n == 2 else 6)
 
 
 def test_expm_trivial():
