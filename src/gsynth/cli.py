@@ -41,7 +41,7 @@ from .gaussian import (
     log_negativity,
     purity,
 )
-from .noise import bath_channels, channel_row, robustness_report
+from .noise import _channel_rows, bath_channels, robustness_report
 from .numerics import DEFAULT_TOL, is_hurwitz
 from .structure import decompose
 from .synthesis import synthesize
@@ -256,10 +256,7 @@ def cmd_simulate(args) -> int:
         raise MatrixFileError(f"--steps must be at least 1, got {args.steps}")
     t_max = _nonnegative(args.t_max, "--t-max")
     realization, noise_rows = load_realization(args.realization)
-    c_all = realization.C
-    if len(noise_rows):
-        c_all = np.vstack([c_all, noise_rows])
-    system = build_moment_system(realization.G, c_all)
+    system = build_moment_system(realization.G, np.vstack([realization.C, noise_rows]))
     if not is_hurwitz(system.A) and not args.allow_unstable:
         print("error: system is not Hurwitz; pass --allow-unstable to integrate anyway",
               file=sys.stderr)
@@ -335,8 +332,8 @@ def cmd_thermal(args) -> int:
         target = graph_to_covariance(realization.graph)
     report_data = robustness_report(realization, channels, target)
     if args.emit:
-        rows = np.vstack([channel_row(ch, realization.n_modes) for ch in channels])
-        save_realization(args.emit, realization, noise_rows=rows)
+        save_realization(args.emit, realization,
+                         noise_rows=_channel_rows(channels, realization.n_modes))
     inputs = {"realization": args.realization}
     if args.target:
         inputs["target"] = args.target

@@ -75,23 +75,17 @@ def build_moment_system(g, c) -> MomentSystem:
     """Assemble drift and diffusion matrices from ``(G, C)``.
 
     ``A = Sigma (G + Im(C^dag C))`` and ``D = Sigma Re(C^dag C) Sigma.T``,
-    both from one product ``C^dag C``.
+    both from one product ``C^dag C``. ``c`` may have no rows.
     """
-    return MomentSystem(*_moment_matrices(g, c))
-
-
-def _moment_matrices(g, c) -> tuple[np.ndarray, np.ndarray]:
-    """Unvalidated ``(A, D)`` of :func:`build_moment_system`; ``c`` may have no rows."""
     g = np.asarray(g, dtype=float)
     c = np.atleast_2d(np.asarray(c, dtype=complex))
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
         raise DimensionError(f"Hamiltonian matrix must be 2N x 2N, got {g.shape}")
     if c.shape[1] != g.shape[0]:
         raise DimensionError(f"coupling rows must have {g.shape[0]} columns, got {c.shape}")
-    n = g.shape[0] // 2
-    sig = symplectic_form(n)
+    sig = symplectic_form(g.shape[0] // 2)
     cc = c.conj().T @ c
-    return sig @ (g + cc.imag), sig @ cc.real @ sig.T
+    return MomentSystem(A=sig @ (g + cc.imag), D=sig @ cc.real @ sig.T)
 
 
 def steady_state(system: MomentSystem) -> CovarianceMatrix:
@@ -255,9 +249,10 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
     Never raises on a failing design: instability, a steady state that
     violates the uncertainty relation (its error and residual are those of
     the raw solve) or a mismatch is reported through the flags and the
-    max-norm error. ``extra_rows`` stacks parasitic coupling rows (for
-    example thermal channels) under the designed coupling before solving;
-    the constraint flags still refer to the designed coupling alone. The
+    max-norm error. ``extra_rows``, one row or an ``(m, 2N)`` block with
+    ``m`` possibly 0, stacks parasitic coupling rows (for example thermal
+    channels) under the designed coupling before solving; the constraint
+    flags still refer to the designed coupling alone. The
     max-norm error passes when it is at most ``threshold(max|target.V|,
     tol)``, the bound stored as ``tolerance``: absolute at unit scale,
     relative above it, so a strongly squeezed target is judged against its
@@ -265,7 +260,7 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
     :func:`verify_constraints` call, whose report is ``constraints``.
     """
     c_all = realization.C
-    if extra_rows is not None and len(extra_rows):
+    if extra_rows is not None:
         c_all = np.vstack([c_all, np.atleast_2d(np.asarray(extra_rows, dtype=complex))])
     system = build_moment_system(realization.G, c_all)
     constraints = verify_constraints(realization, constraint_tol)

@@ -65,7 +65,6 @@ def threshold(scale, tol: float = DEFAULT_TOL) -> float:
     structural test compares its residual with this value. Exceptions,
     which keep their own arithmetic for now:
 
-    * ``structure.decompose``'s scalar test ``|z - i| > tol`` (absolute);
     * ``CovarianceMatrix.is_pure``, ``|det(V) 4**N - 1|`` against
       ``threshold(1, tol)`` or the determinant's rounding floor, whichever
       is larger;

@@ -149,7 +149,7 @@ def decompose(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> BlockDecompositio
     support are the indecomposable diagonal blocks; feasibility requires
     every component to span at most two modes, every two-mode component to
     pass :func:`phi_membership`, and at most one lone scalar to differ from
-    ``i`` (absolute tolerance ``tol``).
+    ``i`` by more than ``threshold(1, tol)``.
 
     A graph is immutable, so the result is kept on it, one per ``tol``: a
     second call with the same graph and tolerance, such as the one inside
@@ -213,7 +213,7 @@ def _decompose(graph: GraphMatrix, tol: float) -> BlockDecomposition:
         else:
             scalars.append(comp[0])
 
-    non_i = [j for j in scalars if abs(z[j, j] - 1j) > tol]
+    non_i = [j for j in scalars if abs(z[j, j] - 1j) > threshold(1.0, tol)]
     if len(non_i) > 1:
         return infeasible(f"more than one non-i scalar (modes {tuple(non_i)})")
 

@@ -11,7 +11,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 import gsynth
-from gsynth import CovarianceMatrix, graph_to_covariance, states, verify_constraints
+from gsynth import (
+    CovarianceMatrix,
+    GraphMatrix,
+    factor_covariance,
+    graph_to_covariance,
+    states,
+    verify_constraints,
+)
 from gsynth.cli import main
 from gsynth.dynamics import Trajectory
 from gsynth.fileio import load_realization, save_covariance, save_graph, save_realization
@@ -252,6 +259,45 @@ def test_thermal_report_and_emit(tmp_path, capsys):
     assert code == 0
     last = out.strip().splitlines()[-1].split(",")
     assert float(last[-1]) == pytest.approx(THERMAL_TMS_PURITY, abs=1e-3)
+
+
+@pytest.mark.parametrize("spec", ["", ","])
+def test_thermal_emit_with_no_modes(tmp_path, capsys, spec):
+    # no bath is zero rows: the report's with-coupling state is the design's
+    # own, and the emitted file carries no C_noise
+    tms = write_tms(tmp_path)
+    design = tmp_path / "design.json"
+    run(capsys, "synthesize", str(tms), "-o", str(design))
+    emitted = tmp_path / "emitted.json"
+    code, out, err = run(capsys, "thermal", str(design), "--gamma", "0.01", "--nbar", "1",
+                         "--modes", spec, "--emit", str(emitted))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["modes"] == []
+    assert report["without_coupling"] is None
+    assert "C_noise" not in json.loads(emitted.read_text())
+    assert load_realization(emitted)[1].shape == (0, 4)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 4])
+def test_thermal_report_matches_its_emitted_design(tmp_path, capsys, copies):
+    # the thermal report and verify of the file it emitted solve one system,
+    # so the reported steady state is the emitted design's to the last bit
+    tms = factor_covariance(states.two_mode_squeezed(0.7))
+    graph = tmp_path / "graph.json"
+    save_graph(graph, GraphMatrix(np.kron(np.eye(copies), tms.X), np.kron(np.eye(copies), tms.Y)))
+    design, noisy, steady = (tmp_path / f"{name}.json" for name in ("design", "noisy", "steady"))
+    assert run(capsys, "synthesize", str(graph), "-o", str(design))[0] == 0
+    code, out, _ = run(capsys, "thermal", str(design), "--gamma", "0.01", "--nbar", "10",
+                       "--emit", str(noisy))
+    assert code == 0
+    reported = np.array(json.loads(out)["with_coupling"]["covariance"])
+    save_covariance(steady, CovarianceMatrix(reported))
+    code, out, _ = run(capsys, "verify", str(noisy), str(steady), "--target-tol", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["max_error"] == 0.0
+    assert report["generates_target"] is True
 
 
 def test_realization_file_roundtrip_unchanged(tmp_path, capsys):

@@ -5,7 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gsynth import (
+    BlockClass,
     CovarianceMatrix,
+    GraphMatrix,
+    Permutation,
+    Realization,
+    assemble_graph,
     augment,
     bath_channels,
     build_moment_system,
@@ -14,8 +19,12 @@ from gsynth import (
     purity,
     robustness_report,
     steady_state,
+    synthesize,
+    verify_generation,
 )
+from gsynth.errors import InvalidCovarianceError, NotHurwitzError
 from gsynth.noise import LOWERING, RAISING, NoiseChannel
+from gsynth.structure import LAMBDA, XI_PHI
 from conftest import (
     THERMAL_GAMMA,
     THERMAL_NBAR,
@@ -27,6 +36,8 @@ from conftest import (
     THERMAL_TMS_V,
     pair_graph,
     pair_realization,
+    random_lambda_scalar,
+    random_phi_block,
     standard_baths,
     tms_graph,
     tms_realization,
@@ -172,25 +183,54 @@ def _random_channels(rng, n):
     return [(channels + repeats)[k] for k in order]
 
 
+def _random_design(rng, n):
+    """A synthesized design for a random feasible graph of ``n`` modes."""
+    blocks = [BlockClass(XI_PHI, random_phi_block(rng)) for _ in range(n // 2)]
+    if n % 2:
+        blocks.append(BlockClass(LAMBDA, random_lambda_scalar(rng)))
+    perm = Permutation(tuple(int(k) for k in rng.permutation(n)))
+    return synthesize(assemble_graph(blocks, perm))
+
+
+def _steady(g, c):
+    """Steady state of ``build_moment_system(g, c)``, or None when it has none."""
+    try:
+        return steady_state(build_moment_system(g, c))
+    except (NotHurwitzError, InvalidCovarianceError):
+        return None
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_thermal_system_matches_stacked_rows(seed):
-    # the diagonal terms against the moment system of the rows stacked under C
-    from gsynth.noise import _thermal_system
-
+    # augment and both robustness branches are the moment systems of the
+    # channel rows stacked under C and under nothing, bit for bit: on a
+    # random (G, C) and on a synthesized design of the same size
     rng = np.random.default_rng(seed)
     n = int(rng.choice([1, 2, 3, 5, 8, 16, 32]))
     g = rng.normal(size=(2 * n, 2 * n))
     g = g + g.T
     c = rng.normal(size=(int(rng.integers(0, 3)), 2 * n)) * (1 + 1j * rng.normal(size=2 * n))
     channels = _random_channels(rng, n)
-    rows = np.vstack([c, *[channel_row(ch, n) for ch in channels]])
-    expected = build_moment_system(g, rows)
-    system = _thermal_system(g, c, channels)
-    # a bath's raising and lowering terms cancel in A, but not in D, whose
-    # diagonal carries their sum: the system's largest entry sets the scale
-    scale = max(np.abs(expected.A).max(), np.abs(expected.D).max())
-    assert np.abs(system.A - expected.A).max() <= 8 * np.finfo(float).eps * scale
-    assert np.abs(system.D - expected.D).max() <= 8 * np.finfo(float).eps * scale
+    rows = np.vstack([channel_row(ch, n) for ch in channels])
+    placeholder = GraphMatrix(np.zeros((n, n)), np.eye(n))
+    random_pair = Realization(R=np.zeros((n, n)), Gamma=np.zeros((n, n)),
+                              P=np.zeros((n, len(c))), G=g, C=c, graph=placeholder)
+    design = _random_design(rng, n)
+    for real in (random_pair, design):
+        expected = build_moment_system(real.G, np.vstack([real.C, rows]))
+        system = augment(real, iter(channels))
+        assert np.array_equal(system.A, expected.A)
+        assert np.array_equal(system.D, expected.D)
+
+    target = graph_to_covariance(design.graph)
+    report = robustness_report(design, channels, target)
+    check = verify_generation(design, target, extra_rows=rows)
+    # a lone raising channel can undamp a mode, so a branch may have no steady state
+    for metrics, expected in ((report.with_coupling, check.steady_covariance),
+                              (report.without_coupling, _steady(design.G, rows))):
+        assert (metrics is None) == (expected is None)
+        if expected is not None:
+            assert np.array_equal(metrics.covariance.V, expected.V)
 
 
 def test_augment_matches_stacked_rows_and_checks_modes():
@@ -220,8 +260,7 @@ def test_robustness_without_coupling_needs_a_bath_on_every_mode():
 @pytest.mark.parametrize("seed", range(5))
 def test_robustness_branches_match_stacked_rows(seed):
     # both branches against steady states of the thermal rows stacked under
-    # C and under nothing; the without branch forms no coupling product
-    from gsynth import synthesize
+    # C and under nothing, with a bath on every mode so both have one
     from conftest import random_feasible_graph
 
     rng = np.random.default_rng(seed)
@@ -241,10 +280,6 @@ def test_robustness_branches_match_stacked_rows(seed):
 def test_design_checks_skip_eigensolvers(monkeypatch):
     # on an N = 16 design, every validity check is settled by Cholesky and
     # the bath-only steady state by the per-mode closed form
-    from gsynth import BlockClass, Permutation, assemble_graph, synthesize, verify_generation
-    from gsynth.structure import XI_PHI
-    from conftest import random_phi_block
-
     rng = np.random.default_rng(16)
     graph = assemble_graph([BlockClass(XI_PHI, random_phi_block(rng)) for _ in range(8)],
                            Permutation(tuple(int(k) for k in rng.permutation(16))))

@@ -330,6 +330,19 @@ def test_decompose_rejects_two_non_i_scalars():
     assert "more than one non-i scalar" in dec.certificate.reason
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_scalars_within_rounding_of_i_count_as_i(tol):
+    # tms(0.7) beside two scalars an ulp or two from i: the scalar test
+    # floors its tolerance at threshold(1, tol) like every structural test
+    z = np.zeros((4, 4), dtype=complex)
+    z[:2, :2] = tms_graph(0.7).Z
+    z[2, 2] = 1j * (1 + 2.3e-16)
+    z[3, 3] = 1j * (1 - 2.3e-16) + 1e-16
+    assert z[2, 2] != 1j and z[3, 3] != 1j
+    dec = decompose(GraphMatrix(z.real, z.imag), tol)
+    assert dec.feasible, dec.certificate.reason
+
+
 def test_decompose_rejects_bad_pair_block():
     # coupled but violating the pair identity
     z = np.array([[2j, 1.0], [1.0, 2j]])
