@@ -21,10 +21,11 @@ from .errors import DimensionError, InvalidCovarianceError, InvalidDiffusionErro
 from .gaussian import CovarianceMatrix, purity, symplectic_form
 from .numerics import (
     DEFAULT_TOL,
+    _solve_lyapunov,
+    eigenbasis,
     expm,
     least_eigenvalue_unless_above,
     max_abs,
-    solve_lyapunov,
     symmetrized,
     threshold,
 )
@@ -100,7 +101,35 @@ def steady_state(system: MomentSystem) -> CovarianceMatrix:
     ``InvalidCovarianceError`` when the solution violates the uncertainty
     relation.
     """
-    return CovarianceMatrix(solve_lyapunov(system.A, system.D))
+    return CovarianceMatrix(_solve_lyapunov(system.A, system.D, None))
+
+
+def _coupled_steady_state(realization: Realization, rows) -> tuple[MomentSystem, np.ndarray]:
+    """The system of a design with ``rows`` stacked under ``C``, and its steady state.
+
+    Every solve with the designed coupling comes here. The system is
+    ``build_moment_system(G, [C; rows])``, so a bath is coupling rows on
+    this path as on every other. The eigenbasis of the design's own drift
+    ``Sigma (G + Im C^dag C)`` is computed once and kept on the design.
+    When the rows' own drift ``Sigma Im(rows^dag rows)`` is exactly ``c I``,
+    as for one ``(gamma, nbar)`` bath on every mode (``-gamma/2`` per mode),
+    the drift with rows has the same eigenvectors and eigenvalues ``w + c``,
+    and that basis goes to :func:`~gsynth.numerics.solve_lyapunov`'s route 2
+    as a candidate. The solver still checks it against the assembled
+    system and takes the drift's own eigendecomposition when it fails.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
+    system = build_moment_system(realization.G, np.vstack([realization.C, rows]))
+    basis = realization.__dict__.get("_drift_basis")
+    if basis is None:
+        design = build_moment_system(realization.G, realization.C) if len(rows) else system
+        basis = realization.__dict__["_drift_basis"] = eigenbasis(design.A)
+    if len(rows):
+        own = symplectic_form(realization.n_modes) @ (rows.conj().T @ rows).imag
+        shift = own[0, 0]
+        w, s, s_inv = basis
+        basis = (w + shift, s, s_inv) if np.array_equal(own, shift * np.eye(len(own))) else None
+    return system, _solve_lyapunov(system.A, system.D, basis)
 
 
 @dataclass(frozen=True)
@@ -259,14 +288,12 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
     own entries. ``constraint_tol`` is the structural tolerance of the one
     :func:`verify_constraints` call, whose report is ``constraints``.
     """
-    c_all = realization.C
-    if extra_rows is not None:
-        c_all = np.vstack([c_all, np.atleast_2d(np.asarray(extra_rows, dtype=complex))])
-    system = build_moment_system(realization.G, c_all)
+    if extra_rows is None:
+        extra_rows = np.zeros((0, 2 * realization.n_modes))
     constraints = verify_constraints(realization, constraint_tol)
     bound = threshold(max_abs(target.V), tol)
     try:
-        v = solve_lyapunov(system.A, system.D)
+        system, v = _coupled_steady_state(realization, extra_rows)
     except NotHurwitzError:
         return GenerationReport(
             hurwitz=False, lyapunov_residual=float("inf"), max_error=float("inf"),

@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 from .errors import InvalidCovarianceError, NotHurwitzError
 from .gaussian import CovarianceMatrix, log_negativity, purity
 from .numerics import max_abs
-from .dynamics import MomentSystem, build_moment_system, steady_state
+from .dynamics import MomentSystem, _coupled_steady_state, build_moment_system, steady_state
 from .synthesis import Realization
 
 LOWERING = "lowering"
@@ -43,8 +43,8 @@ class NoiseChannel:
     def __post_init__(self):
         if self.mode < 0:
             raise ValueError("mode index must be nonnegative")
-        if self.gamma < 0 or self.nbar < 0:
-            raise ValueError("damping rate and occupation must be nonnegative")
+        if not (0 <= self.gamma < math.inf and 0 <= self.nbar < math.inf):
+            raise ValueError("damping rate and occupation must be finite and nonnegative")
         if self.kind not in (LOWERING, RAISING):
             raise ValueError(f"kind must be {LOWERING!r} or {RAISING!r}")
 
@@ -120,9 +120,10 @@ class RobustnessReport:
     target_distance: float | None
 
 
-def _metrics(system: MomentSystem) -> SteadyMetrics | None:
+def _metrics(solve) -> SteadyMetrics | None:
+    """Metrics of the covariance ``solve()`` returns; None when it has none."""
     try:
-        v = steady_state(system)
+        v = solve()
     except (NotHurwitzError, InvalidCovarianceError):
         return None
     neg = log_negativity(v) if v.n_modes == 2 else None
@@ -136,15 +137,19 @@ def robustness_report(realization: Realization, channels,
     Both systems come from :func:`build_moment_system` with every channel's
     :func:`channel_row` stacked under the coupling: under ``C`` with it,
     alone without it, so the without branch keeps the same Hamiltonian
-    matrix and drops only the designed coupling rows. A thermal row touches
-    only its own mode's ``(q_j, p_j)``, so the without branch of a passive
-    diagonal design splits into per-mode 2 x 2 blocks, which
+    matrix and drops only the designed coupling rows. The with branch is
+    solved as ``verify_generation`` solves a design with extra rows: one
+    bath ``(gamma, nbar)`` on every mode shifts the design's drift by
+    ``-gamma/2`` and reuses the eigenbasis the design keeps. A thermal row
+    touches only its own mode's ``(q_j, p_j)``, so the without branch of a
+    passive diagonal design splits into per-mode 2 x 2 blocks, which
     :func:`steady_state` solves in closed form; a mode with no bath leaves
     it without a steady state (``None``).
     """
     rows = _channel_rows(channels, realization.n_modes)
-    with_metrics = _metrics(build_moment_system(realization.G, np.vstack([realization.C, rows])))
-    without_metrics = _metrics(build_moment_system(realization.G, rows))
+    with_metrics = _metrics(
+        lambda: CovarianceMatrix(_coupled_steady_state(realization, rows)[1]))
+    without_metrics = _metrics(lambda: steady_state(build_moment_system(realization.G, rows)))
     distance = None
     if with_metrics is not None:
         distance = max_abs(with_metrics.covariance.V - target.V)

@@ -2,9 +2,12 @@
 
 Everything here targets small dense problems (matrix dimension at most 64):
 eigendecomposition, toleranced rank, the one Lyapunov solver (per-mode
-closed form, then the drift's eigenbasis, then scipy's Bartels-Stewart),
-matrix exponentials and permutation bookkeeping. All functions are pure
-and safe to call concurrently, save that the fallback of
+closed form, then an eigenbasis the caller already holds, then the drift's
+own eigenbasis, then scipy's Bartels-Stewart), matrix exponentials and
+permutation bookkeeping. A design keeps the eigenbasis of its drift, and a
+uniform thermal bath only shifts that drift's eigenvalues, so a design's
+thermal solves take no eigendecomposition of their own. All functions are
+pure and safe to call concurrently, save that the fallback of
 :func:`solve_lyapunov` silences a scipy warning through
 ``warnings.catch_warnings``, which changes process-wide filter state.
 
@@ -170,20 +173,28 @@ def is_hurwitz(a) -> bool:
 def solve_lyapunov(a, d) -> NDArray[np.float64]:
     """Solve ``a @ v + v @ a.T + d = 0`` for symmetric ``v``.
 
-    The one place a steady state is solved, cheapest route first:
+    Every steady state is solved by :func:`_solve_lyapunov`, cheapest route
+    first:
 
     1. A drift and noise of even order with no entry outside the per-mode
        ``(q_j, p_j)`` 2 x 2 blocks, such as a passive diagonal Hamiltonian
        under thermal baths alone, split into independent 2 x 2 equations,
        solved in closed form with a Routh-Hurwitz verdict
        (:func:`_per_mode_lyapunov`).
-    2. Otherwise one ``np.linalg.eig(a) = (w, s)``. A spectral abscissa
+    2. A candidate eigenbasis ``(w, s, s^-1)`` of ``a`` that a caller
+       already holds; this public entry passes none. A design's solves with
+       coupling pass the eigenbasis of its drift, kept on the design, with
+       ``w`` shifted by a uniform bath (see :mod:`gsynth.dynamics`). It is
+       used only when ``w`` passes the rule of :func:`is_hurwitz` and the
+       eigenbasis answer below passes :func:`solves_lyapunov` against
+       ``(a, d)``.
+    3. Otherwise one ``np.linalg.eig(a) = (w, s)``. A spectral abscissa
        not below ``-HURWITZ_TOL``, the rule of :func:`is_hurwitz`, raises
        :class:`NotHurwitzError`. When ``s`` inverts, the equation is
        diagonal in the eigenbasis, ``y_ij = -(s^-1 d s^-H)_ij / (w_i +
        conj(w_j))``, and ``v = Re(s y s^H)``, symmetrized, is returned if
        it passes :func:`solves_lyapunov`.
-    3. Every other case (a clustered or defective spectrum, a singular or
+    4. Every other case (a clustered or defective spectrum, a singular or
        ill-conditioned ``s``, a non-finite ``d``) goes to scipy's
        ``solve_continuous_lyapunov`` (Bartels-Stewart), the only code that
        imports ``scipy.linalg``. Its answer is symmetrized and refused
@@ -191,8 +202,10 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
        triangular solve perturbs a near-zero eigenvalue sum; that warning
        is silenced and the residual decides.
 
-    The first two use numpy alone, so a non-Hurwitz drift is refused
-    without loading scipy. The noise matrix is checked and symmetrized by
+    The first three use numpy alone, so a non-Hurwitz drift is refused
+    without loading scipy, and every "not Hurwitz" verdict comes from the
+    closed form or the eigenvalues of ``a`` itself, never from a
+    candidate. The noise matrix is checked and symmetrized by
     :func:`symmetrized`.
 
     Raises
@@ -206,6 +219,11 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
         If ``a`` is not Hurwitz, in which case the equation has no unique
         stabilizing solution, or if the solution fails the residual check.
     """
+    return _solve_lyapunov(a, d, None)
+
+
+def _solve_lyapunov(a, d, basis) -> NDArray[np.float64]:
+    """:func:`solve_lyapunov` with a candidate eigenbasis ``basis = (w, s, s^-1)`` or None."""
     a = _require_square(np.asarray(a, dtype=float), "drift matrix")
     d = np.asarray(d, dtype=float)
     if d.shape != a.shape:
@@ -214,11 +232,13 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     v = _per_mode_lyapunov(a, d) if a.shape[0] % 2 == 0 else None
+    if v is None and basis is not None and basis[0].real.max() < -HURWITZ_TOL:
+        v = _modal_lyapunov(a, d, *basis)
     if v is None:
         w, s = np.linalg.eig(a)
         if not w.real.max() < -HURWITZ_TOL:
             raise NotHurwitzError(_NOT_HURWITZ)
-        v = _modal_lyapunov(a, d, w, s)
+        v = _modal_lyapunov(a, d, w, s, _inverse(s))
     if v is not None:
         return v
     import scipy.linalg
@@ -234,6 +254,25 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
             f"Lyapunov solve is ill-conditioned (residual {residual:.3e} exceeds {bound:.3e})"
         )
     return v
+
+
+def eigenbasis(a) -> tuple[NDArray[np.complex128], NDArray[np.complex128],
+                           NDArray[np.complex128] | None]:
+    """``(w, s, s^-1)`` with ``a = s diag(w) s^-1``; ``s^-1`` is None when ``s`` is singular.
+
+    ``(w, s)`` is ``np.linalg.eig(a)`` as it stands, unnormalized, so a
+    basis kept by a caller is the one route 3 of :func:`solve_lyapunov`
+    would take.
+    """
+    w, s = np.linalg.eig(a)
+    return w, s, _inverse(s)
+
+
+def _inverse(s: np.ndarray) -> np.ndarray | None:
+    try:
+        return np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:
@@ -279,12 +318,10 @@ def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:
     return v if solves_lyapunov(a, v, d) else None
 
 
-def _modal_lyapunov(a: np.ndarray, d: np.ndarray, w: np.ndarray,
-                    s: np.ndarray) -> NDArray[np.float64] | None:
+def _modal_lyapunov(a: np.ndarray, d: np.ndarray, w: np.ndarray, s: np.ndarray,
+                    s_inv: np.ndarray | None) -> NDArray[np.float64] | None:
     """The solution in the eigenbasis ``a = s diag(w) s^-1``, or None to fall back."""
-    try:
-        s_inv = np.linalg.inv(s)
-    except np.linalg.LinAlgError:
+    if s_inv is None:
         return None
     y = (s_inv @ d @ s_inv.conj().T) / -(w[:, None] + w.conj()[None, :])
     v = (s @ y @ s.conj().T).real

@@ -198,18 +198,19 @@ def _decompose(graph: GraphMatrix, tol: float) -> BlockDecomposition:
     def infeasible(reason: str) -> BlockDecomposition:
         return BlockDecomposition(n_modes=n, certificate=Certificate(False, reason))
 
-    pairs: list[list[int]] = []
+    pairs: list[tuple[list[int], np.ndarray]] = []
     scalars: list[int] = []
     for comp in components:
         if len(comp) > 2:
             return infeasible(f"component size {len(comp)} exceeds 2 (modes {tuple(comp)})")
         if len(comp) == 2:
-            block = z[np.ix_(comp, comp)]
+            a, b = comp
+            block = np.array([[z[a, a], z[a, b]], [z[b, a], z[b, b]]])
             if not phi_membership(block, tol):
                 return infeasible(
                     f"2x2 component on modes {tuple(comp)} fails the coupled-pair membership test"
                 )
-            pairs.append(comp)
+            pairs.append((comp, block))
         else:
             scalars.append(comp[0])
 
@@ -232,8 +233,8 @@ def _decompose(graph: GraphMatrix, tol: float) -> BlockDecomposition:
     else:
         leftover = scalars
 
-    for comp in pairs:
-        blocks.append(BlockClass(XI_PHI, z[np.ix_(comp, comp)]))
+    for comp, block in pairs:
+        blocks.append(BlockClass(XI_PHI, block))
         order.extend(comp)
     for a, b in zip(leftover[0::2], leftover[1::2]):
         blocks.append(BlockClass(XI_PHI, np.diag([z[a, a], z[b, b]])))

@@ -38,6 +38,15 @@ class Realization:
     parameter, ``P`` the N x K coupling seed, ``G`` the 2N x 2N Hamiltonian
     matrix and ``C`` the K x 2N coupling row(s). The target's graph matrix
     is kept alongside so the design can be re-validated on its own.
+
+    A design is immutable. It stores its own copies of ``R, Gamma, P, G,
+    C``, read-only, so the caller's arrays stay writable. The eigenbasis
+    ``(w, s, s^-1)`` of its drift ``Sigma (G + Im C^dag C)`` is computed by
+    the first steady-state solve with coupling and kept on the instance,
+    so later solves of the design, with or without a uniform thermal bath,
+    take no eigendecomposition of their own (see
+    ``gsynth.dynamics.verify_generation``). ``dataclasses.replace`` builds
+    a new design, which computes its basis afresh.
     """
 
     R: np.ndarray
@@ -49,11 +58,11 @@ class Realization:
 
     def __post_init__(self):
         n = self.graph.n_modes
-        r = np.asarray(self.R, dtype=float)
-        gamma = np.asarray(self.Gamma, dtype=float)
-        p = np.atleast_2d(np.asarray(self.P, dtype=complex).T).T
+        r = np.array(self.R, dtype=float)
+        gamma = np.array(self.Gamma, dtype=float)
+        p = np.atleast_2d(np.array(self.P, dtype=complex).T).T
         g = np.asarray(self.G, dtype=float)
-        c = np.atleast_2d(np.asarray(self.C, dtype=complex))
+        c = np.atleast_2d(np.array(self.C, dtype=complex))
         if r.shape != (n, n) or gamma.shape != (n, n) or g.shape != (2 * n, 2 * n):
             raise DimensionError("R, Gamma and G must be N x N, N x N and 2N x 2N")
         if p.shape[0] != n or c.shape != (p.shape[1], 2 * n):
@@ -65,6 +74,8 @@ class Realization:
         if max_abs(gamma + gamma.T) > threshold(max_abs(gamma)):
             raise ValueError("Gamma must be antisymmetric")
         g = symmetrized(g, "G")
+        for part in (r, gamma, p, g, c):
+            part.flags.writeable = False
         object.__setattr__(self, "R", r)
         object.__setattr__(self, "Gamma", gamma)
         object.__setattr__(self, "P", p)

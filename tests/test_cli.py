@@ -279,23 +279,42 @@ def test_thermal_emit_with_no_modes(tmp_path, capsys, spec):
     assert load_realization(emitted)[1].shape == (0, 4)
 
 
-@pytest.mark.parametrize("copies", [1, 2, 4])
-def test_thermal_report_matches_its_emitted_design(tmp_path, capsys, copies):
-    # the thermal report and verify of the file it emitted solve one system,
-    # so the reported steady state is the emitted design's to the last bit
+def _verify_emitted_thermal(tmp_path, capsys, copies, *thermal_args) -> dict:
+    """``verify --target-tol 0`` of the file ``thermal --emit`` wrote, against its report.
+
+    The design is ``copies`` copies of tms(0.7); the target is the
+    with-coupling steady state the same ``thermal`` run reported.
+    """
     tms = factor_covariance(states.two_mode_squeezed(0.7))
     graph = tmp_path / "graph.json"
     save_graph(graph, GraphMatrix(np.kron(np.eye(copies), tms.X), np.kron(np.eye(copies), tms.Y)))
     design, noisy, steady = (tmp_path / f"{name}.json" for name in ("design", "noisy", "steady"))
     assert run(capsys, "synthesize", str(graph), "-o", str(design))[0] == 0
     code, out, _ = run(capsys, "thermal", str(design), "--gamma", "0.01", "--nbar", "10",
-                       "--emit", str(noisy))
+                       *thermal_args, "--emit", str(noisy))
     assert code == 0
     reported = np.array(json.loads(out)["with_coupling"]["covariance"])
     save_covariance(steady, CovarianceMatrix(reported))
     code, out, _ = run(capsys, "verify", str(noisy), str(steady), "--target-tol", "0")
     assert code == 0
-    report = json.loads(out)
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 4])
+def test_thermal_report_matches_its_emitted_design(tmp_path, capsys, copies):
+    # the thermal report and verify of the file it emitted solve one system,
+    # so the reported steady state is the emitted design's to the last bit
+    report = _verify_emitted_thermal(tmp_path, capsys, copies)
+    assert report["max_error"] == 0.0
+    assert report["generates_target"] is True
+
+
+@pytest.mark.parametrize("copies", [1, 2, 4])
+def test_thermal_report_on_one_mode_matches_its_emitted_design(tmp_path, capsys, copies):
+    # a bath on mode 0 alone does not shift the drift uniformly, so thermal
+    # and verify both take the drift's own eigendecomposition, not the
+    # design's kept basis; they still agree to the last bit
+    report = _verify_emitted_thermal(tmp_path, capsys, copies, "--modes", "0")
     assert report["max_error"] == 0.0
     assert report["generates_target"] is True
 
@@ -698,7 +717,7 @@ def test_unphysical_steady_state_is_a_failing_design(tmp_path, capsys, monkeypat
     tms = write_tms(tmp_path)
     design = tmp_path / "design.json"
     unphysical = 0.4 * np.eye(4)
-    monkeypatch.setattr(gsynth.dynamics, "solve_lyapunov", lambda a, d: unphysical)
+    monkeypatch.setattr(gsynth.dynamics, "_solve_lyapunov", lambda a, d, basis: unphysical)
     error = np.abs(unphysical - states.two_mode_squeezed(0.7).V).max()
     code, out, err = run(capsys, "synthesize", str(tms), "-o", str(design))
     assert code == 0, err

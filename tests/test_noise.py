@@ -298,6 +298,98 @@ def test_design_checks_skip_eigensolvers(monkeypatch):
     robustness = robustness_report(real, baths, target)
     assert report.generates_target
     assert robustness.without_coupling is not None
-    # the rank test's Q (N x N) and the two coupled drifts (2N x 2N); the
-    # bath-only drift takes none
-    assert eig_sizes == [16, 32, 32]
+    # the rank test's Q (N x N) and the design's drift (2N x 2N), whose
+    # basis the uniform bath reuses; the bath-only drift takes none
+    assert eig_sizes == [16, 32]
+
+
+def _eig_sizes(monkeypatch) -> list[int]:
+    """The sizes of the matrices later ``np.linalg.eig`` calls decompose."""
+    sizes = []
+    real_eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: sizes.append(len(m)) or real_eig(m))
+    return sizes
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 32])
+@pytest.mark.parametrize("gamma, nbar", [(THERMAL_GAMMA, THERMAL_NBAR), (0.3, 0.0), (1.7, 2.5)])
+def test_uniform_bath_reuses_the_design_basis(monkeypatch, n, gamma, nbar):
+    # one (gamma, nbar) bath on every mode shifts the design's drift by
+    # -gamma/2: the with-coupling solve takes no eigendecomposition once
+    # the design has one, and agrees with the drift's own
+    rng = np.random.default_rng(n)
+    design = _random_design(rng, n)
+    target = graph_to_covariance(design.graph)
+    baths = [ch for m in range(n) for ch in bath_channels(m, gamma, nbar)]
+    rows = np.vstack([channel_row(ch, n) for ch in baths])
+    sizes = _eig_sizes(monkeypatch)
+    verify_generation(design, target)
+    assert sizes.count(2 * n) == 1
+    report = robustness_report(design, baths, target)
+    check = verify_generation(design, target, extra_rows=rows)
+    assert sizes.count(2 * n) == 1
+    assert np.array_equal(report.with_coupling.covariance.V, check.steady_covariance.V)
+    expected = steady_state(build_moment_system(design.G, np.vstack([design.C, rows]))).V
+    # each answer lies within about 5e-13 (relative) of the exact solution
+    # of the stored matrices at N = 32, so two of them may differ by the sum
+    scale = np.abs(expected).max()
+    assert np.abs(report.with_coupling.covariance.V - expected).max() <= 2e-12 * scale
+
+
+@pytest.mark.parametrize("case", ["one mode", "one mode differs"])
+def test_nonuniform_baths_take_the_full_route(monkeypatch, case):
+    # baths that do not shift every mode alike leave the design's basis
+    # unused: the coupled drift takes its own eigendecomposition, so the
+    # answer is steady_state's to the last bit
+    n = 6
+    design = _random_design(np.random.default_rng(7), n)
+    target = graph_to_covariance(design.graph)
+    if case == "one mode":
+        baths = list(bath_channels(2, THERMAL_GAMMA, THERMAL_NBAR))
+    else:
+        baths = [ch for m in range(n)
+                 for ch in bath_channels(m, 2 * THERMAL_GAMMA if m == 3 else THERMAL_GAMMA,
+                                         THERMAL_NBAR)]
+    rows = np.vstack([channel_row(ch, n) for ch in baths])
+    verify_generation(design, target)
+    sizes = _eig_sizes(monkeypatch)
+    report = robustness_report(design, baths, target)
+    assert sizes.count(2 * n) == 1
+    check = verify_generation(design, target, extra_rows=rows)
+    expected = steady_state(build_moment_system(design.G, np.vstack([design.C, rows]))).V
+    assert np.array_equal(report.with_coupling.covariance.V, check.steady_covariance.V)
+    assert np.array_equal(report.with_coupling.covariance.V, expected)
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 1e-2, 0.17, 0.18, 1.0, 100.0])
+def test_undamping_raising_channels_agree_with_is_hurwitz(gamma):
+    # raising channels alone on every mode shift the drift by +gamma nbar / 2;
+    # past the design's damping the coupled system has no steady state, and
+    # the verdict is always that of the assembled drift
+    from gsynth.numerics import is_hurwitz
+
+    n = 4
+    design = _random_design(np.random.default_rng(3), n)
+    target = graph_to_covariance(design.graph)
+    verify_generation(design, target)
+    raising = [NoiseChannel(mode=m, gamma=gamma, nbar=1.0, kind=RAISING) for m in range(n)]
+    rows = np.vstack([channel_row(ch, n) for ch in raising])
+    report = robustness_report(design, raising, target)
+    check = verify_generation(design, target, extra_rows=rows)
+    hurwitz = is_hurwitz(build_moment_system(design.G, np.vstack([design.C, rows])).A)
+    assert (report.with_coupling is not None) == hurwitz == check.hurwitz
+    assert report.without_coupling is None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["gamma", "nbar"])
+def test_non_finite_channel_parameters_are_rejected(bad, field):
+    # a NaN passes "< 0", and an infinite rate would reach the solver as a
+    # non-finite drift; both are refused where the channel is made
+    real = tms_realization(0.7)
+    target = graph_to_covariance(tms_graph(0.7))
+    params = {"gamma": THERMAL_GAMMA, "nbar": THERMAL_NBAR, field: bad}
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        robustness_report(real, [NoiseChannel(mode=0, kind=LOWERING, **params)], target)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        robustness_report(real, bath_channels(1, **params), target)

@@ -306,6 +306,30 @@ def test_solve_lyapunov_matches_scipy_on_designs(seed, thermal):
     assert np.abs(v - expected).max() <= 1e-11 * np.abs(expected).max()
 
 
+def test_failing_candidate_basis_takes_the_full_route():
+    # a candidate eigenbasis is only a guess: one that does not solve the
+    # assembled equation, or one whose eigenvalues are not Hurwitz, leaves
+    # the answer and every "not Hurwitz" verdict to the drift's own routes
+    from gsynth.numerics import _solve_lyapunov, eigenbasis
+
+    rng = np.random.default_rng(5)
+    real = synthesize(random_feasible_graph(rng, max_pairs=6))
+    system = augment(real, standard_baths(real.graph.n_modes))
+    a, d = system.A, system.D
+    w, s, s_inv = eigenbasis(a)
+    expected = solve_lyapunov(a, d)
+    # the right eigenvectors with eigenvalues off by 1e-3, and the right
+    # eigenvectors with eigenvalues that are not Hurwitz
+    for candidate in ((w - 1e-3, s, s_inv), (w.conj() * -1.0, s, s_inv)):
+        assert np.array_equal(_solve_lyapunov(a, d, candidate), expected)
+    # the drift's own basis is route 3's, bit for bit
+    assert np.array_equal(_solve_lyapunov(a, d, (w, s, s_inv)), expected)
+    # a Hurwitz candidate cannot make an unstable drift solvable
+    unstable = a + 2.0 * max(0.0, -float(w.real.min())) * np.eye(len(a))
+    with pytest.raises(NotHurwitzError, match="not Hurwitz"):
+        _solve_lyapunov(unstable, d, (w, s, s_inv))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_solve_lyapunov_falls_back_near_defective(monkeypatch, n):
     # a Jordan block with its corner perturbed by 10**-k has an eigenbasis of

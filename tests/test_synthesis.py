@@ -519,6 +519,40 @@ def test_synthesize_matches_stored_bytes(fixture):
         assert got.tobytes() == expected.tobytes(), (name, np.abs(got - expected).max())
 
 
+def test_realization_keeps_read_only_copies_and_one_basis(monkeypatch):
+    # a design is immutable, so the eigenbasis of its drift is computed once
+    # and kept; a replaced design computes its own
+    import dataclasses
+
+    import gsynth.dynamics
+    from gsynth import Realization
+
+    real = tms_realization(0.7)
+    parts = {name: np.array(getattr(real, name)) for name in ("R", "Gamma", "P", "G", "C")}
+    design = Realization(graph=real.graph, **parts)
+    for name, given in parts.items():
+        kept = getattr(design, name)
+        assert given.flags.writeable and not kept.flags.writeable, name
+        assert not np.shares_memory(given, kept), name
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1.0
+
+    bases = []
+    eigenbasis = gsynth.dynamics.eigenbasis
+    monkeypatch.setattr(gsynth.dynamics, "eigenbasis", lambda a: bases.append(a) or eigenbasis(a))
+    target = graph_to_covariance(real.graph)
+    first = verify_generation(design, target)
+    again = verify_generation(design, target)
+    assert len(bases) == 1
+    assert np.array_equal(first.steady_covariance.V, again.steady_covariance.V)
+    moved = dataclasses.replace(design, C=2.0 * design.C)
+    moved_report = verify_generation(moved, target)
+    assert len(bases) == 2
+    assert np.array_equal(bases[1], build_moment_system(moved.G, moved.C).A)
+    assert np.array_equal(moved_report.steady_covariance.V,
+                          steady_state(build_moment_system(moved.G, moved.C)).V)
+
+
 def test_design_op_computes_each_fact_once(monkeypatch):
     # one feasible design op as the benchmark runs it: factor -> decompose ->
     # synthesize -> graph_to_covariance -> verify_generation
