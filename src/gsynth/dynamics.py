@@ -40,11 +40,11 @@ DIFFUSION_PSD_TOL = 1e-10
 class MomentSystem:
     """Drift ``A`` and diffusion ``D`` of the moment equations.
 
-    ``D`` must be symmetric and positive semidefinite: its eigenvalues may
-    fall no lower than ``-threshold(max|D|, DIFFUSION_PSD_TOL)``. A Cholesky
-    factorization of ``D`` shifted by that floor accepts; only when it
-    fails does ``eigvalsh`` decide, and a rejection raises
-    :class:`InvalidDiffusionError`.
+    Both must be finite (else ``ValueError``), and ``D`` symmetric positive
+    semidefinite: its eigenvalues may fall no lower than
+    ``-threshold(max|D|, DIFFUSION_PSD_TOL)``. A Cholesky factorization of
+    ``D`` shifted by that floor accepts; only when it fails does
+    ``eigvalsh`` decide, and a rejection raises :class:`InvalidDiffusionError`.
     """
 
     A: np.ndarray
@@ -57,6 +57,8 @@ class MomentSystem:
             raise DimensionError(f"drift matrix must be 2N x 2N, got {a.shape}")
         if d.shape != a.shape:
             raise DimensionError("diffusion shape must match the drift")
+        if not (np.isfinite(a).all() and np.isfinite(d).all()):
+            raise ValueError("drift and diffusion matrices have non-finite entries")
         d = symmetrized(d, "diffusion matrix", tol=1e-12)
         floor = threshold(max_abs(d), DIFFUSION_PSD_TOL)
         least = least_eigenvalue_unless_above(d, -floor)
@@ -254,7 +256,7 @@ class GenerationReport:
     target tolerance at the scale of the target. ``steady_covariance`` is
     None when the drift is not Hurwitz or the steady state violates the
     uncertainty relation; either way the design does not generate the
-    target.
+    target. ``steady_purity`` is NaN then, or when ``det`` rounds to <= 0.
     """
 
     hurwitz: bool
@@ -300,15 +302,17 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
             steady_purity=float("nan"), constraints=constraints, tolerance=bound,
             steady_covariance=None,
         )
+    v_inf, steady_purity = None, float("nan")
     try:
         v_inf = CovarianceMatrix(v)
+        steady_purity = purity(v_inf)
     except InvalidCovarianceError:
-        v_inf = None
+        pass
     return GenerationReport(
         hurwitz=True,
         lyapunov_residual=float(np.linalg.norm(system.A @ v + v @ system.A.T + system.D)),
         max_error=max_abs(v - target.V),
-        steady_purity=float("nan") if v_inf is None else purity(v_inf),
+        steady_purity=steady_purity,
         constraints=constraints,
         tolerance=bound,
         steady_covariance=v_inf,

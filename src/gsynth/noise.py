@@ -121,13 +121,19 @@ class RobustnessReport:
 
 
 def _metrics(solve) -> SteadyMetrics | None:
-    """Metrics of the covariance ``solve()`` returns; None when it has none."""
+    """Metrics of the covariance ``solve()`` returns; None when it has none.
+
+    The purity is NaN when the covariance's determinant rounds to <= 0."""
     try:
         v = solve()
     except (NotHurwitzError, InvalidCovarianceError):
         return None
+    try:
+        steady_purity = purity(v)
+    except InvalidCovarianceError:
+        steady_purity = float("nan")
     neg = log_negativity(v) if v.n_modes == 2 else None
-    return SteadyMetrics(covariance=v, purity=purity(v), log_negativity=neg)
+    return SteadyMetrics(covariance=v, purity=steady_purity, log_negativity=neg)
 
 
 def robustness_report(realization: Realization, channels,

@@ -1,15 +1,15 @@
 """Dense real/complex matrix substrate and the tolerance policy.
 
 Everything here targets small dense problems (matrix dimension at most 64):
-eigendecomposition, toleranced rank, the one Lyapunov solver (per-mode
-closed form, then an eigenbasis the caller already holds, then the drift's
-own eigenbasis, then scipy's Bartels-Stewart), matrix exponentials and
-permutation bookkeeping. A design keeps the eigenbasis of its drift, and a
-uniform thermal bath only shifts that drift's eigenvalues, so a design's
-thermal solves take no eigendecomposition of their own. All functions are
-pure and safe to call concurrently, save that the fallback of
-:func:`solve_lyapunov` silences a scipy warning through
-``warnings.catch_warnings``, which changes process-wide filter state.
+toleranced rank, the one Lyapunov solver (per-mode closed form, then an
+eigenbasis the caller already holds, then the drift's own eigenbasis, then
+scipy's Bartels-Stewart), matrix exponentials and permutation bookkeeping.
+A design keeps the eigenbasis of its drift, and a uniform thermal bath only
+shifts that drift's eigenvalues, so a design's thermal solves take no
+eigendecomposition of their own. All functions are pure and safe to call
+concurrently, save that the fallback of :func:`solve_lyapunov` silences a
+scipy warning through ``warnings.catch_warnings``, which changes
+process-wide filter state.
 
 Only the fallback of :func:`solve_lyapunov` needs scipy, and it imports
 ``scipy.linalg`` when it runs. The Hurwitz verdict, the closed-form and
@@ -119,21 +119,6 @@ def _require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
     return a
-
-
-def eig(a) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Eigenvalues and unit-norm right eigenvectors of a square matrix.
-
-    Returns
-    -------
-    (w, v):
-        ``w`` holds the eigenvalues, ``v`` the eigenvectors as columns,
-        normalized to unit Euclidean norm, with ``a @ v[:, k] == w[k] * v[:, k]``.
-    """
-    a = _require_square(np.asarray(a, dtype=complex))
-    w, v = np.linalg.eig(a)
-    norms = np.linalg.norm(v, axis=0)
-    return w, v / norms
 
 
 def rank_tol(m, tol: float = DEFAULT_TOL) -> int:

@@ -20,9 +20,9 @@ the off-diagonal support graph, which is equivalent to searching over all
 permutations because permutations preserve components, and emits a
 certificate either way.
 
-The certificate fixes the spectrum of ``Q = -R Z`` to distinct values, so
-``synthesize`` takes its coupling seed in closed form and searches for
-nothing. :func:`is_controllable` is the general Hautus rank test (Hautus
+The certificate makes ``Q = -R Z`` block diagonal with distinct
+eigenvalues, so ``synthesize`` takes its coupling seed from the listed
+blocks and searches for nothing. :func:`is_controllable` is the general Hautus rank test (Hautus
 1969). ``verify_constraints`` decides a distinct spectrum with a clear
 margin by the cheaper left-eigenvector form of the same test and runs
 :func:`is_controllable` for every other case, so any "not controllable"

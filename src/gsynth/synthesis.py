@@ -1,11 +1,12 @@
 """Construction of a preparing system from a feasible block decomposition.
 
 Given the graph matrix of a feasible target state, the synthesis chain
-assigns one oscillator frequency per mode (``build_R``), derives the
-antisymmetric correction ``Gamma = X R Y`` (``build_Gamma``), takes the
-coupling seed from the eigenvectors of ``Q = -R Z`` (no search: the
-certificate makes their eigenvalues distinct) and assembles the Hamiltonian
-matrix ``G`` and the coupling row ``C``. The result drives the target state
+assigns one oscillator frequency per mode, blockwise (``build_R``),
+derives the antisymmetric correction ``Gamma = X R Y`` (``build_Gamma``),
+takes the coupling seed from the eigenvectors of ``Q = -R Z`` block by
+block (no search: the certificate makes ``Q`` block diagonal with distinct
+eigenvalues) and assembles the Hamiltonian matrix ``G`` and the coupling
+row ``C``. The result drives the target state
 as the unique steady state of the associated moment dynamics, using a
 single dissipative channel and no oscillator-oscillator couplings.
 """
@@ -24,7 +25,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .gaussian import GraphMatrix
-from .numerics import DEFAULT_TOL, eig, max_abs, symmetrized, threshold
+from .numerics import DEFAULT_TOL, max_abs, symmetrized, threshold
 from .structure import LAMBDA, PI, BlockDecomposition, decompose, is_controllable
 
 _EPS = float(np.finfo(float).eps)
@@ -113,29 +114,20 @@ def build_R(dec: BlockDecomposition) -> NDArray[np.float64]:
     ``pi`` block gets ``diag(0, 1)`` and a coupled pair in the j-th block
     (counting from 1) gets ``diag(j, -j)``, pulled back through the
     certificate permutation to mode coordinates.
-    The result satisfies the consistency identity ``-Z R Z = R``, checked
-    on the blocks at the rounding scale of the products,
-    ``threshold(max|Z|**2 max(1, max|R|))``, as :func:`build_Gamma` does.
+    Each block satisfies the consistency identity ``-Z_b R_b Z_b = R_b``,
+    checked at the rounding scale of its own products,
+    ``threshold(max|Z_b|**2 max(1, max|R_b|))``.
     """
     if not dec.feasible:
         raise InfeasibleStateError(dec.certificate)
     diag_entries: list[float] = []
     for index, blk in enumerate(dec.blocks, start=1):
-        if blk.tag == LAMBDA:
-            diag_entries.append(0.0)
-        elif blk.tag == PI:
-            diag_entries.extend([0.0, 1.0])
-        else:
-            diag_entries.extend([float(index), -float(index)])
-    r_tilde = np.diag(diag_entries)
-    z_tilde = np.zeros((dec.n_modes, dec.n_modes), dtype=complex)
-    at = 0
-    for blk in dec.blocks:
-        z_tilde[at:at + blk.size, at:at + blk.size] = blk.block
-        at += blk.size
-    scale = max_abs(z_tilde) ** 2 * max(1.0, max_abs(r_tilde))
-    if max_abs(-z_tilde @ r_tilde @ z_tilde - r_tilde) > threshold(scale):
-        raise InvalidRError("frequency assignment violates the block consistency identity")
+        entries = {LAMBDA: [0.0], PI: [0.0, 1.0]}.get(blk.tag, [float(index), -float(index)])
+        r_b, z_b = np.diag(entries), blk.block
+        scale = max_abs(z_b) ** 2 * max(1.0, max_abs(r_b))
+        if max_abs(-z_b @ r_b @ z_b - r_b) > threshold(scale):
+            raise InvalidRError("frequency assignment violates the block consistency identity")
+        diag_entries.extend(entries)
     # Pull back through the permutation: mode image[s] carries slot s.
     r = np.zeros(dec.n_modes)
     r[list(dec.permutation.image)] = diag_entries
@@ -146,15 +138,18 @@ def build_Gamma(graph: GraphMatrix, r, tol: float = DEFAULT_TOL) -> NDArray[np.f
     """The antisymmetric parameter ``Gamma = X R Y``.
 
     Requires the consistency identity ``-Z R Z = R`` to hold at tolerance
-    ``tol``; antisymmetry of the result is then automatic and checked.
+    ``tol``; then ``Gamma + Gamma.T = Im(Z R Z + R)`` vanishes too. Both
+    are checked at the products' rounding scale
+    ``threshold(max(|R|, |Z|**2 |R|), tol)``, never at ``max|Gamma|``.
     """
     r = np.asarray(r, dtype=float)
     z = graph.Z
     r_scale = max_abs(r)
-    if max_abs(-z @ r @ z - r) > threshold(max(r_scale, max_abs(z) ** 2 * r_scale), tol):
+    bound = threshold(max(r_scale, max_abs(z) ** 2 * r_scale), tol)
+    if max_abs(-z @ r @ z - r) > bound:
         raise InvalidRError("-Z R Z = R fails; R is not consistent with this graph matrix")
     gamma = graph.X @ r @ graph.Y
-    if max_abs(gamma + gamma.T) > threshold(max_abs(gamma), tol):
+    if max_abs(gamma + gamma.T) > bound:
         raise InvalidRError("X R Y is not antisymmetric; R is not consistent")
     return 0.5 * (gamma - gamma.T)
 
@@ -208,12 +203,15 @@ def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> Realization:
     Runs the full chain: feasibility decomposition (the one
     :func:`~gsynth.structure.decompose` keeps on ``graph`` for ``tol``, so
     a caller that decomposed first pays for no second classification),
-    frequency assignment, ``Gamma = X R Y``, the coupling seed (the
-    unit-norm sum of the unit eigenvectors of ``Q = -R Z``, cyclic because
-    the certificate makes the eigenvalues distinct) and the final
-    ``(G, C)`` pair. The Hamiltonian matrix is built in its reduced form
-    ``diag(R, R)``, which the two identities :func:`build_R` and
-    :func:`build_Gamma` check imply, and the design is validated once.
+    frequency assignment, ``Gamma = X R Y``, the coupling seed and the
+    final ``(G, C)`` pair. The seed is the unit-norm sum of each
+    certificate block's eigenvectors of ``-R_b Z_b`` (1 for a lone scalar;
+    one ``np.linalg.eig`` of the ``(k, 2, 2)`` stack of the others), cyclic
+    for ``Q = -R Z`` as the certificate's eigenvalues (0 or {0, -i}, then
+    +-j i for the j-th block) are distinct. The Hamiltonian matrix is built
+    in its reduced form ``diag(R, R)``, which the two identities
+    :func:`build_R` and :func:`build_Gamma` check imply, and the design is
+    validated once.
 
     Raises
     ------
@@ -225,10 +223,16 @@ def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> Realization:
         raise InfeasibleStateError(dec.certificate)
     r = build_R(dec)
     gamma = build_Gamma(graph, r, tol)
-    # Certificate spectrum of Q: 0 or {0, -i}, then +-k*i at block k; distinct, so p is cyclic.
+    # A lone scalar's piece is 1; slots holds the 2 x 2 blocks' modes. -R_b Z_b
+    # is a product, as -R Z is: a row scaling flips signed zeros, moving eig's vectors.
     n = graph.n_modes
-    _, vecs = eig(-r @ graph.Z)
-    p = vecs @ np.ones(n)
+    slots = list(dec.permutation.image)[n % 2:]
+    p = np.ones(n, dtype=complex)
+    if slots:
+        r_b = np.zeros((n // 2, 2, 2))
+        r_b[:, [0, 1], [0, 1]] = np.diag(r)[slots].reshape(-1, 2)
+        _, vecs = np.linalg.eig(-r_b @ np.array([blk.block for blk in dec.blocks[n % 2:]]))
+        p[slots] = vecs.sum(axis=2).ravel()
     p = (p / np.linalg.norm(p)).reshape(-1, 1)
     # build_G's general form collapses to diag(R, R). With Gamma = X R Y,
     # Gamma Y^-1 X = X R X = X Y^-1 Gamma.T, so the top-left block is

@@ -20,7 +20,7 @@ from gsynth import (
 from gsynth.dynamics import Trajectory, _van_loan_step
 from gsynth.errors import DimensionError, GsynthError
 from gsynth.noise import bath_channels
-from gsynth.numerics import DEFAULT_TOL, eig, max_abs, rank_tol, threshold
+from gsynth.numerics import DEFAULT_TOL, max_abs, rank_tol, threshold
 from gsynth.structure import LAMBDA, XI_PHI, is_controllable
 
 SQRT6_2 = np.sqrt(6.0) / 2.0
@@ -207,7 +207,7 @@ def xi_membership(b, tol: float = DEFAULT_TOL) -> bool:
 
 def _eig_clusters(a: np.ndarray, tol: float):
     """Unit eigenvectors of ``a`` and one eigenvalue per cluster within ``tol``."""
-    w, vecs = eig(a)
+    w, vecs = np.linalg.eig(a)
     atol = threshold(max_abs(w), tol)
     reps: list[complex] = []
     for lam in w:

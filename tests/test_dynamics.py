@@ -440,11 +440,24 @@ def test_one_inter_mode_entry_takes_the_general_solve(matrix, monkeypatch):
 
 
 def test_per_mode_non_finite_drift_takes_the_general_solve():
-    from gsynth import MomentSystem
+    # a MomentSystem refuses a non-finite drift, so only the solver sees one
+    from gsynth import solve_lyapunov
 
     a = np.array([[-1.0, np.nan], [0.0, -1.0]])
     with pytest.raises(np.linalg.LinAlgError):
-        steady_state(MomentSystem(A=a, D=np.eye(2)))
+        solve_lyapunov(a, np.eye(2))
+
+
+def test_moment_system_rejects_non_finite_entries():
+    from gsynth import MomentSystem
+
+    # inf * 0 in C^dag C warns before the system sees its NaN entries
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        build_moment_system(np.zeros((2, 2)), [[np.inf, 1j]])
+    with pytest.raises(ValueError, match="non-finite"):
+        MomentSystem(A=-np.eye(2), D=np.diag([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        MomentSystem(A=np.diag([-1.0, np.inf]), D=np.eye(2))
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -469,3 +482,18 @@ def test_diffusion_psd_verdict_matches_eigvalsh(factor, scale):
         with pytest.raises(InvalidDiffusionError, match="positive semidefinite") as info:
             MomentSystem(A=-np.eye(4), D=d)
         assert isinstance(info.value, GsynthError) and isinstance(info.value, ValueError)
+
+
+def test_steady_state_without_positive_determinant_reports_nan_purity(monkeypatch):
+    # diag(1e8, -5e-10) passes the uncertainty relation at its own scale,
+    # but its determinant is -0.05: the purity is NaN, and nothing raises
+    import gsynth.dynamics
+    from gsynth import GraphMatrix
+
+    real = synthesize(GraphMatrix(np.array([[0.3]]), np.array([[0.8]])))
+    v = np.diag([1e8, -5e-10])
+    monkeypatch.setattr(gsynth.dynamics, "_solve_lyapunov", lambda a, d, basis: v)
+    report = verify_generation(real, graph_to_covariance(real.graph))
+    assert report.hurwitz and np.array_equal(report.steady_covariance.V, v)
+    assert np.isnan(report.steady_purity)
+    assert not report.generates_target

@@ -393,3 +393,16 @@ def test_non_finite_channel_parameters_are_rejected(bad, field):
         robustness_report(real, [NoiseChannel(mode=0, kind=LOWERING, **params)], target)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         robustness_report(real, bath_channels(1, **params), target)
+
+
+def test_steady_state_without_positive_determinant_has_nan_purity(monkeypatch):
+    # both branches keep a covariance whose determinant is -0.05, with purity NaN
+    import gsynth.dynamics
+
+    real = synthesize(GraphMatrix(np.array([[0.3]]), np.array([[0.8]])))
+    v = np.diag([1e8, -5e-10])
+    monkeypatch.setattr(gsynth.dynamics, "_solve_lyapunov", lambda a, d, basis: v)
+    report = robustness_report(real, standard_baths(1), graph_to_covariance(real.graph))
+    for metrics in (report.with_coupling, report.without_coupling):
+        assert np.array_equal(metrics.covariance.V, v)
+        assert np.isnan(metrics.purity)
