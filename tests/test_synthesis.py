@@ -660,11 +660,13 @@ def _relabeled(rng, z) -> GraphMatrix:
     return GraphMatrix(z.real, z.imag)
 
 
-def test_feasible_means_synthesizable_on_wide_scales(record_property):
+def test_feasible_means_synthesizable_on_wide_scales():
     # every state the certifier accepts synthesizes, verifies without
     # raising and meets every constraint, and neither verdict depends on the
-    # labeling. generates_target is recorded, not gated: with |Z_jj| in the
-    # hundreds it turns on the last bits of the seed (ROADMAP item 3).
+    # labeling. generates_target is printed (pytest -s or -rP shows it), not
+    # gated: with |Z_jj| in the hundreds it turns on the last bits of the
+    # seed (ROADMAP item 3). The record_property fixture would carry it only
+    # under junit_family xunit1, and warns, an error here, under the default.
     from gsynth import BlockClass, assemble_graph
     from gsynth.structure import LAMBDA, XI_PHI
 
@@ -693,4 +695,4 @@ def test_feasible_means_synthesizable_on_wide_scales(record_property):
         other = verify_constraints(synthesize(again))
         assert (other.passive_diagonal, other.single_channel, other.rank_condition) == flags
         misses += not report.generates_target
-    record_property("generates_target_misses", misses)
+    print(f"generates_target misses: {misses} of {len(draws)} draws")
