@@ -21,6 +21,7 @@ from .errors import DimensionError, InvalidCovarianceError, InvalidDiffusionErro
 from .gaussian import CovarianceMatrix, purity, symplectic_form
 from .numerics import (
     DEFAULT_TOL,
+    _OwnBasis,
     _solve_lyapunov,
     eigenbasis,
     expm,
@@ -112,20 +113,20 @@ def _coupled_steady_state(realization: Realization, rows) -> tuple[MomentSystem,
     Every solve with the designed coupling comes here. The system is
     ``build_moment_system(G, [C; rows])``, so a bath is coupling rows on
     this path as on every other. The eigenbasis of the design's own drift
-    ``Sigma (G + Im C^dag C)`` is computed once and kept on the design.
+    ``Sigma (G + Im C^dag C)`` is computed once and kept on the design; with
+    no rows it is that drift's own ``eig``, passed as such and not taken again.
     When the rows' own drift ``Sigma Im(rows^dag rows)`` is exactly ``c I``,
     as for one ``(gamma, nbar)`` bath on every mode (``-gamma/2`` per mode),
     the drift with rows has the same eigenvectors and eigenvalues ``w + c``,
-    and that basis goes to :func:`~gsynth.numerics.solve_lyapunov`'s route 2
-    as a candidate. The solver still checks it against the assembled
-    system and takes the drift's own eigendecomposition when it fails.
+    and that basis goes to :func:`~gsynth.numerics.solve_lyapunov`'s route 2 as
+    a candidate; failing the assembled system, it gives way to that drift's own.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=complex))
     system = build_moment_system(realization.G, np.vstack([realization.C, rows]))
     basis = realization.__dict__.get("_drift_basis")
     if basis is None:
         design = build_moment_system(realization.G, realization.C) if len(rows) else system
-        basis = realization.__dict__["_drift_basis"] = eigenbasis(design.A)
+        basis = realization.__dict__["_drift_basis"] = _OwnBasis(eigenbasis(design.A))
     if len(rows):
         own = symplectic_form(realization.n_modes) @ (rows.conj().T @ rows).imag
         shift = own[0, 0]

@@ -64,9 +64,9 @@ TOL_FLOOR = 16.0 * np.finfo(float).eps
 def threshold(scale, tol: float = DEFAULT_TOL) -> float:
     """The zero threshold ``tol * max(1, scale)`` for data of max-norm ``scale``.
 
-    ``tol`` below :data:`TOL_FLOOR` counts as ``TOL_FLOOR``. Every scaled
-    structural test compares its residual with this value. Exceptions,
-    which keep their own arithmetic for now:
+    ``tol`` below :data:`TOL_FLOOR` counts as ``TOL_FLOOR``; an array of scales gives one
+    threshold each (a NaN scale counts as 1). Every scaled structural test compares its
+    residual with this value. Exceptions, which keep their own arithmetic for now:
 
     * ``CovarianceMatrix.is_pure``, ``|det(V) 4**N - 1|`` against
       ``threshold(1, tol)`` or the determinant's rounding floor, whichever
@@ -77,6 +77,8 @@ def threshold(scale, tol: float = DEFAULT_TOL) -> float:
       norms, relative with no floor): ``16 n eps`` to accept the closed-form
       or eigenbasis answer, 1e-10 to refuse scipy's fallback answer.
     """
+    if isinstance(scale, np.ndarray):
+        return max(tol, TOL_FLOOR) * np.fmax(1.0, scale)
     return max(tol, TOL_FLOOR) * max(1.0, scale)
 
 
@@ -173,7 +175,8 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
        used only when ``w`` passes the rule of :func:`is_hurwitz` and the
        eigenbasis answer below passes :func:`solves_lyapunov` against
        ``(a, d)``.
-    3. Otherwise one ``np.linalg.eig(a) = (w, s)``. A spectral abscissa
+    3. Otherwise one ``np.linalg.eig(a) = (w, s)``, or the caller's basis if it
+       is that very decomposition (:class:`_OwnBasis`). A spectral abscissa
        not below ``-HURWITZ_TOL``, the rule of :func:`is_hurwitz`, raises
        :class:`NotHurwitzError`. When ``s`` inverts, the equation is
        diagonal in the eigenbasis, ``y_ij = -(s^-1 d s^-H)_ij / (w_i +
@@ -207,8 +210,12 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     return _solve_lyapunov(a, d, None)
 
 
+class _OwnBasis(tuple):
+    """An eigenbasis ``(w, s, s^-1)`` that is ``np.linalg.eig`` of the drift it comes with."""
+
+
 def _solve_lyapunov(a, d, basis) -> NDArray[np.float64]:
-    """:func:`solve_lyapunov` with a candidate eigenbasis ``basis = (w, s, s^-1)`` or None."""
+    """:func:`solve_lyapunov` with a candidate ``(w, s, s^-1)``, an :class:`_OwnBasis` or None."""
     a = _require_square(np.asarray(a, dtype=float), "drift matrix")
     d = np.asarray(d, dtype=float)
     if d.shape != a.shape:
@@ -216,14 +223,15 @@ def _solve_lyapunov(a, d, basis) -> NDArray[np.float64]:
     d = symmetrized(d, "noise matrix")
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    own = isinstance(basis, _OwnBasis)
     v = _per_mode_lyapunov(a, d) if a.shape[0] % 2 == 0 else None
-    if v is None and basis is not None and basis[0].real.max() < -HURWITZ_TOL:
+    if v is None and basis is not None and not own and basis[0].real.max() < -HURWITZ_TOL:
         v = _modal_lyapunov(a, d, *basis)
     if v is None:
-        w, s = np.linalg.eig(a)
+        w, s, s_inv = basis if own else eigenbasis(a)
         if not w.real.max() < -HURWITZ_TOL:
             raise NotHurwitzError(_NOT_HURWITZ)
-        v = _modal_lyapunov(a, d, w, s, _inverse(s))
+        v = _modal_lyapunov(a, d, w, s, s_inv)
     if v is not None:
         return v
     import scipy.linalg
@@ -250,14 +258,10 @@ def eigenbasis(a) -> tuple[NDArray[np.complex128], NDArray[np.complex128],
     would take.
     """
     w, s = np.linalg.eig(a)
-    return w, s, _inverse(s)
-
-
-def _inverse(s: np.ndarray) -> np.ndarray | None:
     try:
-        return np.linalg.inv(s)
+        return w, s, np.linalg.inv(s)
     except np.linalg.LinAlgError:
-        return None
+        return w, s, None
 
 
 def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:

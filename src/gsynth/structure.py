@@ -20,19 +20,19 @@ the off-diagonal support graph, which is equivalent to searching over all
 permutations because permutations preserve components, and emits a
 certificate either way.
 
-The certificate makes ``Q = -R Z`` block diagonal with distinct
-eigenvalues, so ``synthesize`` takes its coupling seed from the listed
-blocks and searches for nothing. :func:`is_controllable` is the general Hautus rank test (Hautus
-1969). ``verify_constraints`` decides a distinct spectrum with a clear
-margin by the cheaper left-eigenvector form of the same test and runs
-:func:`is_controllable` for every other case, so any "not controllable"
-verdict comes from here.
+The certificate makes ``Z``, ``R``, ``Gamma`` and ``Q`` block diagonal with
+distinct eigenvalues, so ``synthesize`` takes its coupling seed from one batched
+``eig`` of the 2 x 2 blocks. :func:`is_controllable` is the general Hautus rank
+test (Hautus 1969). ``verify_constraints`` takes one batched ``eig`` over the
+support components of ``Q`` (a dense one as fallback), decides a distinct spectrum
+with a clear margin by the left-eigenvector form of the same test and runs
+:func:`is_controllable` otherwise, so any "not controllable" verdict comes from here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,12 +53,12 @@ class BlockClass:
     block: np.ndarray
 
     def __post_init__(self):
-        block = np.atleast_2d(np.array(self.block, dtype=complex))
-        sizes = {LAMBDA: 1, PI: 2, XI_PHI: 2}
-        if self.tag not in sizes:
+        block = np.array(self.block, dtype=complex, ndmin=2)
+        size = {LAMBDA: 1, PI: 2, XI_PHI: 2}.get(self.tag)
+        if size is None:
             raise ValueError(f"unknown block tag {self.tag!r}")
-        if block.shape != (sizes[self.tag], sizes[self.tag]):
-            raise DimensionError(f"{self.tag} block must be {sizes[self.tag]}x{sizes[self.tag]}")
+        if block.shape != (size, size):
+            raise DimensionError(f"{self.tag} block must be {size}x{size}")
         # a decomposition is shared by every caller that asks for it
         block.flags.writeable = False
         object.__setattr__(self, "block", block)
@@ -95,6 +95,11 @@ class BlockDecomposition:
     def feasible(self) -> bool:
         return self.certificate.feasible
 
+    @cached_property
+    def _block_stack(self) -> np.ndarray:
+        """The 2 x 2 blocks as one ``(k, 2, 2)`` array; :func:`decompose` fills it in."""
+        return np.array([b.block for b in self.blocks if b.size == 2]).reshape(-1, 2, 2)
+
 
 def phi_membership(b, tol: float = DEFAULT_TOL) -> bool:
     """Explicit membership test for the coupled-pair block family.
@@ -106,13 +111,38 @@ def phi_membership(b, tol: float = DEFAULT_TOL) -> bool:
     b = np.asarray(b, dtype=complex)
     if b.shape != (2, 2):
         raise DimensionError(f"membership test needs a 2x2 matrix, got {b.shape}")
-    scale = max_abs(b)
-    entry_tol = threshold(scale, tol)
-    if abs(b[0, 1] - b[1, 0]) > entry_tol or abs(b[0, 0] - b[1, 1]) > entry_tol:
-        return False
-    if abs(b[0, 1] ** 2 - b[0, 0] ** 2 - 1.0) > threshold(scale ** 2, tol):
-        return False
-    return b[0, 0].imag > 0.0
+    return bool(_phi_members(b[None], tol)[0])
+
+
+def _phi_members(stack: np.ndarray, tol: float) -> np.ndarray:
+    """The rule of :func:`phi_membership` on each block of a ``(k, 2, 2)`` stack."""
+    if not len(stack):
+        return np.ones(0, dtype=bool)
+    flat = stack.reshape(-1, 4)
+    b11, b12 = flat[:, 0], flat[:, 1]
+    scale = np.abs(flat).max(axis=1)
+    asym = np.fmax.reduce(np.abs(flat - flat[:, ::-1]), axis=1)  # a NaN residual rejects nothing
+    broken = ((asym > threshold(scale, tol))
+              | (np.abs(b12 ** 2 - b11 ** 2 - 1.0) > threshold(scale ** 2, tol)))
+    return ~broken & (b11.imag > 0.0)
+
+
+def _components(linked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(reach, size, pairs)`` of a symmetric boolean adjacency, whose diagonal it sets:
+    row ``j`` of ``reach`` marks node ``j``'s connected component, ``size[j]`` counts
+    it, and ``pairs`` lists the two-node components ``(a, b)``, ``a < b``, by ``a``.
+    """
+    n = len(linked)
+    reach = linked
+    reach.flat[::n + 1] = True
+    size = reach.sum(axis=1)
+    if size.max() > 2:  # k squarings of the reachability span 2**k hops
+        for _ in range(n.bit_length()):
+            reach = reach.astype(float) @ reach > 0.0
+        size = reach.sum(axis=1)
+    last = n - 1 - reach[:, ::-1].argmax(axis=1)
+    heads = ((last > np.arange(n)) & (size == 2)).nonzero()[0]
+    return reach, size, np.array([heads, last[heads]]).T
 
 
 def is_controllable(q, p, tol: float = DEFAULT_TOL) -> bool:
@@ -164,88 +194,60 @@ def decompose(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> BlockDecompositio
 
 
 def _decompose(graph: GraphMatrix, tol: float) -> BlockDecomposition:
-    """The classification of :func:`decompose`, made afresh."""
+    """The classification of :func:`decompose`, made afresh: one mask finds the structural
+    zeros, one batched test judges every coupled pair, and the 2 x 2 blocks form one
+    ``(k, 2, 2)`` stack, kept on the result for ``build_R`` and the seed.
+    """
     z = graph.Z
     n = graph.n_modes
-    mags = np.abs(z).tolist()
-
-    adjacency = [[] for _ in range(n)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            # an exact zero is a structural zero at any tolerance; skipping
-            # it spares the threshold on the sparse graphs of feasible states
-            m = mags[j][k]
-            if m and m > threshold(math.sqrt(mags[j][j] * mags[k][k]), tol):
-                adjacency[j].append(k)
-                adjacency[k].append(j)
-
-    components: list[list[int]] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for nbr in adjacency[node]:
-                if not seen[nbr]:
-                    seen[nbr] = True
-                    stack.append(nbr)
-        components.append(sorted(comp))
+    mags = np.abs(z)
+    diag = mags.diagonal()
+    # an exact zero never exceeds its threshold, so it is a structural zero at any tolerance
+    reach, size, pairs = _components(mags > threshold(np.sqrt(np.multiply.outer(diag, diag)), tol))
+    stack = z[pairs[:, :, None], pairs[:, None, :]]
+    members = _phi_members(stack, tol)
 
     def infeasible(reason: str) -> BlockDecomposition:
         return BlockDecomposition(n_modes=n, certificate=Certificate(False, reason))
 
-    pairs: list[tuple[list[int], np.ndarray]] = []
-    scalars: list[int] = []
-    for comp in components:
-        if len(comp) > 2:
-            return infeasible(f"component size {len(comp)} exceeds 2 (modes {tuple(comp)})")
-        if len(comp) == 2:
-            a, b = comp
-            block = np.array([[z[a, a], z[a, b]], [z[b, a], z[b, b]]])
-            if not phi_membership(block, tol):
-                return infeasible(
-                    f"2x2 component on modes {tuple(comp)} fails the coupled-pair membership test"
-                )
-            pairs.append((comp, block))
-        else:
-            scalars.append(comp[0])
+    scalars = (size == 1).nonzero()[0]
+    if 2 * len(pairs) + len(scalars) < n or not members.all():
+        # the failing component with the least mode gives the reason
+        failing = size > 2
+        failing[pairs[~members]] = True
+        comp = tuple(reach[failing.argmax()].nonzero()[0].tolist())
+        return infeasible(
+            f"component size {len(comp)} exceeds 2 (modes {comp})" if len(comp) > 2
+            else f"2x2 component on modes {comp} fails the coupled-pair membership test")
 
-    non_i = [j for j in scalars if abs(z[j, j] - 1j) > threshold(1.0, tol)]
+    far = np.abs(z.diagonal()[scalars] - 1j) > threshold(1.0, tol) if len(scalars) else []
+    non_i = scalars[far].tolist()
     if len(non_i) > 1:
         return infeasible(f"more than one non-i scalar (modes {tuple(non_i)})")
 
-    blocks: list[BlockClass] = []
-    order: list[int] = []
+    scalars = scalars.tolist()
     if n % 2 == 1:
-        head = non_i[0] if non_i else scalars[0]
-        blocks.append(BlockClass(LAMBDA, np.array([[z[head, head]]])))
-        order.append(head)
-        leftover = [j for j in scalars if j != head]
+        order = [non_i[0] if non_i else scalars[0]]
     elif non_i:
-        partner = next(j for j in scalars if j != non_i[0])
-        blocks.append(BlockClass(PI, np.diag([z[non_i[0], non_i[0]], z[partner, partner]])))
-        order.extend([non_i[0], partner])
-        leftover = [j for j in scalars if j not in (non_i[0], partner)]
+        order = [non_i[0], next(j for j in scalars if j != non_i[0])]
     else:
-        leftover = scalars
+        order = []
+    # the exceptional block, the coupled pairs, then leftover scalars two by two
+    pi = len(order) // 2
+    leftover = [j for j in scalars if j not in order]
+    loose = order[n % 2:] + leftover
+    order += pairs.ravel().tolist() + leftover
+    if loose:
+        uncoupled = np.zeros((len(loose) // 2, 2, 2), dtype=complex)
+        uncoupled[:, [0, 1], [0, 1]] = z.diagonal()[np.reshape(loose, (-1, 2))]
+        stack = np.concatenate([uncoupled[:pi], stack, uncoupled[pi:]])
+    stack.flags.writeable = False
 
-    for comp, block in pairs:
-        blocks.append(BlockClass(XI_PHI, block))
-        order.extend(comp)
-    for a, b in zip(leftover[0::2], leftover[1::2]):
-        blocks.append(BlockClass(XI_PHI, np.diag([z[a, a], z[b, b]])))
-        order.extend([a, b])
-
-    return BlockDecomposition(
-        n_modes=n,
-        certificate=Certificate(True),
-        permutation=Permutation(tuple(order)),
-        blocks=tuple(blocks),
-    )
+    blocks = [BlockClass(LAMBDA, z[order[0], order[0]])] if n % 2 else []
+    blocks += [BlockClass(PI if j < pi else XI_PHI, block) for j, block in enumerate(stack)]
+    dec = BlockDecomposition(n, Certificate(True), Permutation(tuple(order)), tuple(blocks))
+    dec.__dict__["_block_stack"] = stack
+    return dec
 
 
 def assemble_graph(blocks, permutation: Permutation | None = None) -> GraphMatrix:

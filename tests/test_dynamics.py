@@ -9,6 +9,7 @@ from gsynth import (
     BlockClass,
     CovarianceMatrix,
     DimensionError,
+    GraphMatrix,
     GsynthError,
     NotHurwitzError,
     Permutation,
@@ -70,6 +71,36 @@ def test_hurwitz_predicate_on_designs():
     assert not is_hurwitz(np.zeros((4, 4)))
     real = synthesize(tms_graph(0.3))
     assert is_hurwitz(build_moment_system(real.G, real.C).A)
+
+
+def test_design_drift_is_decomposed_once(monkeypatch):
+    # with no extra rows the design's kept basis is its drift's own eig: a
+    # drift that is not Hurwitz is refused on it, and a failed eigenbasis
+    # answer goes straight to scipy, with no second eig of the same matrix
+    import gsynth.numerics
+
+    z = np.zeros((3, 3), dtype=complex)
+    z[:2, :2] = factor_covariance(states.two_mode_squeezed(0.7)).Z
+    z[2, 2] = 1e10j
+    graph = GraphMatrix(z.real, z.imag)
+    unstable = synthesize(graph)
+    shapes = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: shapes.append(m.shape) or eig(m))
+    report = verify_generation(unstable, graph_to_covariance(graph))
+    # the rank test's Q (3 modes, below the split size: one dense eig), then
+    # the 6 x 6 drift, once
+    assert shapes == [(3, 3), (6, 6)]
+    assert not report.hurwitz
+    assert not is_hurwitz(build_moment_system(unstable.G, unstable.C).A)
+
+    real = tms_realization(0.7)
+    shapes.clear()
+    monkeypatch.setattr(gsynth.numerics, "_modal_lyapunov", lambda *args: None)
+    report = verify_generation(real, states.two_mode_squeezed(0.7))
+    assert shapes == [(2, 2), (4, 4)]
+    assert report.generates_target
+    assert report.max_error < 1e-10
 
 
 def test_steady_state_two_mode_squeezed():

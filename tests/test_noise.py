@@ -16,6 +16,7 @@ from gsynth import (
     build_moment_system,
     channel_row,
     graph_to_covariance,
+    is_controllable,
     purity,
     robustness_report,
     steady_state,
@@ -290,17 +291,21 @@ def test_design_checks_skip_eigensolvers(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a validity check took eigvalsh")
 
-    eig_sizes = []
+    eig_shapes = []
     real_eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-    monkeypatch.setattr(np.linalg, "eig", lambda m: eig_sizes.append(len(m)) or real_eig(m))
+    monkeypatch.setattr(np.linalg, "eig", lambda m: eig_shapes.append(m.shape) or real_eig(m))
     report = verify_generation(real, target)
     robustness = robustness_report(real, baths, target)
     assert report.generates_target
     assert robustness.without_coupling is not None
-    # the rank test's Q (N x N) and the design's drift (2N x 2N), whose
-    # basis the uniform bath reuses; the bath-only drift takes none
-    assert eig_sizes == [16, 32]
+    # the rank test's Q splits into the certificate's 8 pairs, decomposed as
+    # one (8, 2, 2) stack, and the design's drift (2N x 2N) is decomposed
+    # once, its basis reused by the uniform bath; the bath-only drift takes none
+    assert eig_shapes == [(8, 2, 2), (32, 32)]
+    # the verdict is the general Hautus test's on the dense Q
+    q = -1j * real.R @ graph.Y + np.linalg.inv(graph.Y) @ real.Gamma
+    assert report.constraints.rank_condition == is_controllable(q, real.P)
 
 
 def _eig_sizes(monkeypatch) -> list[int]:

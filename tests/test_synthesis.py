@@ -425,8 +425,11 @@ def _design_q(real):
 
 def test_verify_constraints_takes_no_svd_on_designs(monkeypatch):
     # designed systems have a distinct spectrum and a clear margin, so the
-    # left-eigenvector test decides and Hautus (one SVD per eigenvalue) never runs
+    # left-eigenvector test decides and Hautus (one SVD per eigenvalue) never
+    # runs; from the split size their Q splits into the certificate's
+    # blocks, so no eig is dense
     import gsynth.structure
+    from gsynth.synthesis import _SPLIT_MIN_MODES
     from gsynth import BlockClass, assemble_graph
     from gsynth.structure import XI_PHI
     from conftest import random_phi_block
@@ -441,9 +444,14 @@ def test_verify_constraints_takes_no_svd_on_designs(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("verify_constraints fell back to the Hautus test")
 
+    eig, shapes = np.linalg.eig, []
     monkeypatch.setattr(gsynth.structure, "rank_tol", forbidden)
+    monkeypatch.setattr(np.linalg, "eig", lambda m: shapes.append(np.shape(m)) or eig(m))
     for real in designs:
+        shapes.clear()
         assert verify_constraints(real).all_ok
+        n = real.n_modes
+        assert shapes == ([(n // 2, 2, 2)] if n >= _SPLIT_MIN_MODES else [(n, n)])
 
 
 def test_rank_test_falls_back_to_hautus(monkeypatch):
@@ -509,6 +517,95 @@ def test_rank_test_agrees_with_hautus():
                 accepted += fast
                 assert (fast or is_controllable(q, p, tol)) == is_controllable(q, p, tol)
     assert accepted > 0
+
+
+def _relabeled_design_graph(rng, n: int) -> GraphMatrix:
+    """``n // 2`` coupled pairs and, for odd ``n``, a lone scalar, relabeled at random."""
+    from gsynth import BlockClass, Permutation, assemble_graph
+    from gsynth.structure import LAMBDA, XI_PHI
+    from conftest import random_lambda_scalar, random_phi_block
+
+    blocks = [BlockClass(XI_PHI, random_phi_block(rng)) for _ in range(n // 2)]
+    if n % 2:
+        blocks.append(BlockClass(LAMBDA, random_lambda_scalar(rng)))
+    return assemble_graph(blocks, Permutation(tuple(int(k) for k in rng.permutation(n))))
+
+
+def _certificate_blocks(graph) -> list[list[int]]:
+    """The modes of each certificate block, in certificate order."""
+    image = list(decompose(graph).permutation.image)
+    n = len(image)
+    return ([image[:1]] if n % 2 else []) + [image[k:k + 2] for k in range(n % 2, n, 2)]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_rank_verdict_matches_krylov_reference(monkeypatch, tol):
+    # The certificate makes Q block diagonal with pairwise distinct block
+    # spectra (0 or {0, -i}, then +-j i for the j-th block), so a seed reaches
+    # Q exactly when its Krylov matrix has full rank on every block, each at
+    # most 2 x 2 and well conditioned. The block path's verdict must agree.
+    # At tol 1e-3 the Hautus test, which gives every refusal, judges each
+    # eigenvalue at the scale of the whole [Q - w I, p] (about N) and refuses
+    # seeds whose blocks the Krylov reference, at each block's own scale,
+    # accepts; there the verdict must still be Hautus's, and an acceptance
+    # must still be the reference's.
+    from conftest import controllability_rank
+    from gsynth import is_controllable
+
+    def reference(q, p, blocks):
+        return all(controllability_rank(q[np.ix_(b, b)], p[b], tol) == len(b) for b in blocks)
+
+    def agrees(got, q, p, blocks):
+        if tol <= 1e-9:
+            return got == reference(q, p, blocks)
+        return got == is_controllable(q, p, tol) and (not got or reference(q, p, blocks))
+
+    rng = np.random.default_rng(41)
+    for n in range(1, 33):
+        graph = _relabeled_design_graph(rng, n)
+        real = synthesize(graph)
+        blocks = _certificate_blocks(graph)
+        q = _design_q(real)
+        zeroed = real.P.copy()
+        zeroed[blocks[int(rng.integers(len(blocks)))]] = 0.0
+        generic = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
+        for p in (real.P, zeroed, generic):
+            seeded = assemble_realization(graph, real.R, real.Gamma, p)
+            assert agrees(verify_constraints(seeded, tol).rank_condition, q, p, blocks), n
+        # a seed with no weight on one block never reaches it
+        assert not reference(q, zeroed, blocks)
+
+    # Two blocks given one frequency share their eigenvalues, which no single
+    # seed can separate: refused, as the Krylov rank of the whole Q says.
+    for n in (4, 5, 6):
+        graph = _relabeled_design_graph(rng, n)
+        real = synthesize(graph)
+        blocks = _certificate_blocks(graph)
+        r = np.diag(real.R).copy()
+        r[blocks[-1]] = r[blocks[-2]]
+        r = np.diag(r)
+        for p in (real.P, rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))):
+            shared = assemble_realization(graph, r, build_Gamma(graph, r), p)
+            assert controllability_rank(_design_q(shared), p, tol) < n
+            assert not verify_constraints(shared, tol).rank_condition, n
+
+    # A 1e-17 entry of Gamma between two blocks joins them in the support of
+    # Q, so one component is wider than two modes and the dense eig decides
+    # (below the split size, 15 modes, it decides anyway).
+    eig, shapes = np.linalg.eig, []
+    monkeypatch.setattr(np.linalg, "eig", lambda m: shapes.append(np.shape(m)) or eig(m))
+    for n in (4, 9, 16, 32):
+        graph = _relabeled_design_graph(rng, n)
+        real = synthesize(graph)
+        blocks = _certificate_blocks(graph)
+        gamma = real.Gamma.copy()
+        a, b = blocks[-1][0], blocks[-2][0]
+        gamma[a, b], gamma[b, a] = 1e-17, -1e-17
+        shapes.clear()
+        joined = assemble_realization(graph, real.R, gamma, real.P)
+        got = verify_constraints(joined, tol).rank_condition
+        assert shapes == [(n, n)]
+        assert agrees(got, _design_q(joined), real.P, blocks)
 
 
 STORED_BYTES = Path(__file__).parent / "data" / "synthesize_bytes.json"
