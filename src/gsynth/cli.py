@@ -1,11 +1,15 @@
 """Command-line surface.
 
 Commands: ``analyze``, ``feasible``, ``synthesize``, ``verify``,
-``simulate``, ``thermal``. Reports are JSON (or flat CSV key/value rows
-with ``--format csv``); trajectories are always CSV. Exit codes are
-stable: 0 success, 1 I/O, parse or usage error, 2 infeasible target,
-3 impure input, 4 unstable system. ``--tol`` overrides the ``GSYNTH_TOL``
-environment variable, which overrides the built-in default.
+``simulate``, ``thermal``. Each ``cmd_*`` maps parsed arguments to a
+``(report, exit_code)`` pair and writes nothing to stdout or stderr;
+``main`` emits the report and turns a ``GsynthError`` into one
+``error:`` line and its exit code. Reports are JSON (or flat CSV
+key/value rows with ``--format csv``); trajectories are always CSV.
+Exit codes are stable: 0 success, 1 I/O, parse or usage error,
+2 infeasible target, 3 impure input, 4 unstable system. ``--tol``
+overrides the ``GSYNTH_TOL`` environment variable, which overrides the
+built-in default.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import build_moment_system, evolve, steady_state, verify_generation
+from .dynamics import build_moment_system, evolve, verify_generation
 from .errors import (
     GsynthError,
     InfeasibleStateError,
@@ -32,6 +36,7 @@ from .fileio import (
     load_realization,
     load_state_file,
     save_realization,
+    write_text,
 )
 from .gaussian import (
     CovarianceMatrix,
@@ -98,17 +103,16 @@ def _flatten(prefix: str, value, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, json.dumps(value)))
 
 
-def _emit(report: dict, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
+def _emit(report: dict, fmt: str) -> None:
     payload = _jsonable(report)
     if fmt == "csv":
         rows: list[tuple[str, str]] = []
         _flatten("", payload, rows)
-        stream.write("key,value\n")
+        sys.stdout.write("key,value\n")
         for key, val in rows:
-            stream.write(f"{key},{val}\n")
+            sys.stdout.write(f"{key},{val}\n")
     else:
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _input_stanza(role_paths: dict) -> dict:
@@ -151,7 +155,7 @@ def _constraint_flags(constraints) -> dict:
     }
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[dict, int]:
     tol = _resolve_tol(args)
     state = load_state_file(args.state)
     cov = _as_covariance(state)
@@ -166,43 +170,35 @@ def cmd_analyze(args) -> int:
         "log_negativity": None,
     }
     if pure:
-        graph = state if isinstance(state, GraphMatrix) else factor_covariance(cov, tol)
+        graph = _as_graph(state, tol)
         report["graph"] = {"X": graph.X, "Y": graph.Y}
     if cov.n_modes == 2:
         report["log_negativity"] = log_negativity(cov)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_feasible(args) -> int:
+def _certified(args) -> tuple[dict, GraphMatrix, float]:
+    """Load the state, decompose its graph and start the report with the certificate."""
     tol = _resolve_tol(args)
-    state = load_state_file(args.state)
-    graph = _as_graph(state, tol)
-    dec = decompose(graph, tol)
+    graph = _as_graph(load_state_file(args.state), tol)
     report = {
-        "command": "feasible",
+        "command": args.command,
         "inputs": _input_stanza({"state": args.state}),
         "modes": graph.n_modes,
-        "certificate": _certificate_stanza(dec),
+        "certificate": _certificate_stanza(decompose(graph, tol)),
     }
-    _emit(report, args.format)
-    return EXIT_OK if dec.feasible else EXIT_INFEASIBLE
+    return report, graph, tol
 
 
-def cmd_synthesize(args) -> int:
-    tol = _resolve_tol(args)
-    state = load_state_file(args.state)
-    graph = _as_graph(state, tol)
-    dec = decompose(graph, tol)
-    report = {
-        "command": "synthesize",
-        "inputs": _input_stanza({"state": args.state}),
-        "modes": graph.n_modes,
-        "certificate": _certificate_stanza(dec),
-    }
-    if not dec.feasible:
-        _emit(report, args.format)
-        return EXIT_INFEASIBLE
+def cmd_feasible(args) -> tuple[dict, int]:
+    report, _, _ = _certified(args)
+    return report, EXIT_OK if report["certificate"]["feasible"] else EXIT_INFEASIBLE
+
+
+def cmd_synthesize(args) -> tuple[dict, int]:
+    report, graph, tol = _certified(args)
+    if not report["certificate"]["feasible"]:
+        return report, EXIT_INFEASIBLE
 
     realization = synthesize(graph, tol)
     check = verify_generation(realization, graph_to_covariance(graph), constraint_tol=tol)
@@ -225,11 +221,10 @@ def cmd_synthesize(args) -> int:
         "constraints": _constraint_flags(check.constraints),
     }
     report["violations"] = list(check.constraints.violations)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     tol = _resolve_tol(args)
     target_tol = _nonnegative(args.target_tol, "--target-tol")
     realization, noise_rows = load_realization(args.realization)
@@ -247,20 +242,18 @@ def cmd_verify(args) -> int:
         "constraints": _constraint_flags(check.constraints),
         "violations": list(check.constraints.violations),
     }
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[str, int]:
+    """Return the trajectory as CSV text, or "" when ``-o`` writes it to a file."""
     if args.steps < 1:
         raise MatrixFileError(f"--steps must be at least 1, got {args.steps}")
     t_max = _nonnegative(args.t_max, "--t-max")
     realization, noise_rows = load_realization(args.realization)
     system = build_moment_system(realization.G, np.vstack([realization.C, noise_rows]))
     if not is_hurwitz(system.A) and not args.allow_unstable:
-        print("error: system is not Hurwitz; pass --allow-unstable to integrate anyway",
-              file=sys.stderr)
-        return EXIT_UNSTABLE
+        raise NotHurwitzError("system is not Hurwitz; pass --allow-unstable to integrate anyway")
     if args.v0:
         v0 = _as_covariance(load_state_file(args.v0))
         if v0.n_modes != realization.n_modes:
@@ -289,10 +282,9 @@ def cmd_simulate(args) -> int:
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+        write_text(args.output, text)
+        return "", EXIT_OK
+    return text, EXIT_OK
 
 
 def _parse_modes(spec: str, n_modes: int) -> list[int]:
@@ -318,7 +310,7 @@ def _metrics_stanza(metrics) -> dict | None:
     }
 
 
-def cmd_thermal(args) -> int:
+def cmd_thermal(args) -> tuple[dict, int]:
     gamma = _nonnegative(args.gamma, "--gamma")
     nbar = _nonnegative(args.nbar, "--nbar")
     realization, _ = load_realization(args.realization)
@@ -349,8 +341,7 @@ def cmd_thermal(args) -> int:
     }
     if args.emit:
         report["emitted"] = str(args.emit)
-    _emit(report, args.format)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -429,26 +420,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The first class in an error's MRO that is listed here gives its exit code.
+_EXIT_CODES = {
+    MatrixFileError: EXIT_IO,
+    NotPureStateError: EXIT_IMPURE,
+    InfeasibleStateError: EXIT_INFEASIBLE,
+    NotHurwitzError: EXIT_UNSTABLE,
+    GsynthError: EXIT_IO,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NotPureStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IMPURE
-    except InfeasibleStateError as exc:
-        print(f"error: infeasible target: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NotHurwitzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
+        report, code = args.func(args)
     except GsynthError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+    if isinstance(report, str):
+        sys.stdout.write(report)
+    else:
+        _emit(report, args.format)
+    return code
 
 
 if __name__ == "__main__":

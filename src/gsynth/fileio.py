@@ -75,6 +75,21 @@ def _require(payload: dict, key: str, path) -> object:
     return payload[key]
 
 
+def _require_modes(payload: dict, path) -> int:
+    modes = _require(payload, "modes", path)
+    if type(modes) is not int or modes < 1:  # JSON true is a bool, and bool is an int
+        raise MatrixFileError(f"{path}: 'modes' must be a positive integer")
+    return modes
+
+
+def write_text(path, text: str) -> None:
+    """Write a file; an unwritable path is a ``MatrixFileError``, as an unreadable one is."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from exc
+
+
 def _from_interleaved(matrix: np.ndarray) -> np.ndarray:
     """Reorder a covariance from (q1, p1, q2, p2, ...) to (q.., p..)."""
     n2 = matrix.shape[0]
@@ -91,9 +106,7 @@ def load_state_file(path) -> CovarianceMatrix | GraphMatrix:
     """
     payload = _load_json(path)
     kind = _require(payload, "kind", path)
-    modes = _require(payload, "modes", path)
-    if not isinstance(modes, int) or modes < 1:
-        raise MatrixFileError(f"{path}: 'modes' must be a positive integer")
+    modes = _require_modes(payload, path)
     data = _require(payload, "data", path)
     ordering = payload.get("ordering", "blocks")
     if ordering not in ("blocks", "interleaved"):
@@ -128,32 +141,22 @@ def load_state_file(path) -> CovarianceMatrix | GraphMatrix:
     raise MatrixFileError(f"{path}: unknown kind {kind!r}; expected 'covariance' or 'graph'")
 
 
+def _save(path, kind: str, modes: int, **fields) -> None:
+    payload = {"format_version": FORMAT_VERSION, "kind": kind, "modes": modes, **fields}
+    write_text(path, json.dumps(payload, indent=1) + "\n")
+
+
 def save_covariance(path, cov: CovarianceMatrix) -> None:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "covariance",
-        "modes": cov.n_modes,
-        "data": cov.V.tolist(),
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    _save(path, "covariance", cov.n_modes, data=cov.V.tolist())
 
 
 def save_graph(path, graph: GraphMatrix) -> None:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "graph",
-        "modes": graph.n_modes,
-        "data": _complex_to_pairs(graph.Z),
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    _save(path, "graph", graph.n_modes, data=_complex_to_pairs(graph.Z))
 
 
 def save_realization(path, realization: Realization, noise_rows=None) -> None:
     """Write a design to disk; optional parasitic rows go under ``C_noise``."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "realization",
-        "modes": realization.n_modes,
+    fields = {
         "channels": realization.n_channels,
         "R": realization.R.tolist(),
         "Gamma": realization.Gamma.tolist(),
@@ -164,8 +167,8 @@ def save_realization(path, realization: Realization, noise_rows=None) -> None:
         "Y": realization.graph.Y.tolist(),
     }
     if noise_rows is not None and len(noise_rows):
-        payload["C_noise"] = _complex_to_pairs(np.atleast_2d(noise_rows))
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+        fields["C_noise"] = _complex_to_pairs(np.atleast_2d(noise_rows))
+    _save(path, "realization", realization.n_modes, **fields)
 
 
 def load_realization(path) -> tuple[Realization, np.ndarray]:
@@ -174,9 +177,7 @@ def load_realization(path) -> tuple[Realization, np.ndarray]:
     kind = _require(payload, "kind", path)
     if kind != "realization":
         raise MatrixFileError(f"{path}: expected kind 'realization', got {kind!r}")
-    modes = _require(payload, "modes", path)
-    if not isinstance(modes, int) or modes < 1:
-        raise MatrixFileError(f"{path}: 'modes' must be a positive integer")
+    modes = _require_modes(payload, path)
     try:
         realization = Realization(
             R=_real_matrix(_require(payload, "R", path), f"{path}: R"),

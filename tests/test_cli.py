@@ -17,6 +17,7 @@ from gsynth import (
     factor_covariance,
     graph_to_covariance,
     states,
+    synthesize,
     verify_constraints,
 )
 from gsynth.cli import main
@@ -184,8 +185,8 @@ def test_simulate_fixed_point_constant(tmp_path, capsys):
                        "--v0", str(tms), "--t-max", "5", "--steps", "6")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("t,V_0_0,")
-    assert lines[0].endswith(",purity")
+    assert lines[0] == ("t,V_0_0,V_0_1,V_0_2,V_0_3,V_1_1,V_1_2,V_1_3,V_2_2,V_2_3,V_3_3,"
+                        "purity")
     first = np.array([float(x) for x in lines[1].split(",")[1:]])
     for line in lines[2:]:
         row = np.array([float(x) for x in line.split(",")[1:]])
@@ -414,6 +415,36 @@ def test_help_exits_0(capsys):
     assert "--tol" in capsys.readouterr().out
 
 
+def test_commands_return_reports_and_write_nothing(tmp_path, capsys):
+    # each command maps its arguments to (report, exit code); only main emits
+    from gsynth import cli
+
+    tms = write_tms(tmp_path)
+    cluster = tmp_path / "cluster.json"
+    save_covariance(cluster, cluster_parts(0.5).cov)
+    design = tmp_path / "design.json"
+    save_realization(design, tms_realization(0.7))
+    cases = [
+        (cli.cmd_analyze, ["analyze", str(tms)], dict, 0),
+        (cli.cmd_feasible, ["feasible", str(tms)], dict, 0),
+        (cli.cmd_feasible, ["feasible", str(cluster)], dict, 2),
+        (cli.cmd_synthesize, ["synthesize", str(tms), "-o", str(tmp_path / "out.json")], dict, 0),
+        (cli.cmd_synthesize, ["synthesize", str(cluster)], dict, 2),
+        (cli.cmd_verify, ["verify", str(design), str(tms)], dict, 0),
+        (cli.cmd_simulate, ["simulate", str(design), "--steps", "3"], str, 0),
+        (cli.cmd_thermal, ["thermal", str(design), "--gamma", "0.01", "--nbar", "1"], dict, 0),
+    ]
+    for command, argv, kind, expected in cases:
+        args = cli._build_parser().parse_args(argv)
+        assert args.func is command
+        report, code = command(args)
+        assert (type(report), code) == (kind, expected), argv
+        assert capsys.readouterr() == ("", ""), argv
+        code = main(argv)
+        assert type(code) is int and code == expected
+        assert capsys.readouterr().out != ""
+
+
 def test_feasibility_is_tolerance_sensitive(tmp_path, capsys, monkeypatch):
     # a coupling of 1e-6 is an edge at the default threshold but a
     # structural zero at 1e-4; the loosened reading is a valid scalar pair
@@ -449,10 +480,91 @@ def test_csv_report_format(tmp_path, capsys):
     assert "purity" in keys and "pure" in keys
 
 
+_INPUT = ["inputs.state.path", "inputs.state.sha256"]
+_CERTIFICATE = ["certificate.feasible", "certificate.reason"]
+_CONSTRAINTS = ["passive_diagonal", "single_channel", "rank_condition"]
+_METRICS = ["purity", "log_negativity", "covariance"]
+REPORT_KEYS = {
+    "analyze": ["command", *_INPUT, "modes", "purity", "pure", "graph.X", "graph.Y",
+                "log_negativity"],
+    "feasible": ["command", *_INPUT, "modes", *_CERTIFICATE, "certificate.permutation",
+                 "certificate.blocks"],
+    "feasible infeasible": ["command", *_INPUT, "modes", *_CERTIFICATE],
+    "synthesize": ["command", *_INPUT, "modes", *_CERTIFICATE, "certificate.permutation",
+                   "certificate.blocks",
+                   *(f"realization.{k}" for k in ("path", "channels", "R", "Gamma", "P", "G", "C")),
+                   *(f"metrics.{k}" for k in ("hurwitz", "lyapunov_residual",
+                                              "steady_state_max_error", "steady_purity")),
+                   *(f"metrics.constraints.{k}" for k in _CONSTRAINTS), "violations"],
+    "verify": ["command", "inputs.realization.path", "inputs.realization.sha256",
+               "inputs.target.path", "inputs.target.sha256", "hurwitz", "lyapunov_residual",
+               "max_error", "steady_purity", "generates_target",
+               *(f"constraints.{k}" for k in _CONSTRAINTS), "violations"],
+    "thermal": ["command", "inputs.realization.path", "inputs.realization.sha256",
+                "inputs.target.path", "inputs.target.sha256", "gamma", "nbar", "modes",
+                *(f"with_coupling.{k}" for k in _METRICS),
+                *(f"without_coupling.{k}" for k in _METRICS), "target_distance", "emitted"],
+}
+
+
+def _key_paths(value, prefix=""):
+    if not isinstance(value, dict):
+        return [prefix]
+    return [path for key, item in value.items()
+            for path in _key_paths(item, f"{prefix}.{key}" if prefix else key)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(REPORT_KEYS))
+def test_report_key_order(tmp_path, capsys, case, fmt):
+    # keys only, in order: the values differ across BLAS builds, the layout may not
+    tms = write_tms(tmp_path)
+    cluster = tmp_path / "cluster.json"
+    save_covariance(cluster, cluster_parts(0.5).cov)
+    design = tmp_path / "design.json"
+    save_realization(design, tms_realization(0.7))
+    argv = {
+        "analyze": ["analyze", str(tms)],
+        "feasible": ["feasible", str(tms)],
+        "feasible infeasible": ["feasible", str(cluster)],
+        "synthesize": ["synthesize", str(tms), "-o", str(tmp_path / "out.json")],
+        "verify": ["verify", str(design), str(tms)],
+        "thermal": ["thermal", str(design), "--gamma", "0.01", "--nbar", "10",
+                    "--target", str(tms), "--emit", str(tmp_path / "noisy.json")],
+    }[case]
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == (2 if case == "feasible infeasible" else 0)
+    if fmt == "json":
+        keys = _key_paths(json.loads(out))
+    else:
+        lines = out.splitlines()
+        assert lines[0] == "key,value"
+        keys = [line.split(",", 1)[0] for line in lines[1:]]
+    assert keys == REPORT_KEYS[case]
+
+
 def test_unknown_file_is_io_error(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/state.json")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("synthesize", ("-o",)),
+    ("simulate", ("-o",)),
+    ("thermal", ("--gamma", "0.01", "--nbar", "1", "--emit")),
+])
+def test_unwritable_output_path_is_io_error(tmp_path, capsys, command, options):
+    tms = write_tms(tmp_path)
+    design = tmp_path / "design.json"
+    save_realization(design, tms_realization(0.7))
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, command, str(tms if command == "synthesize" else design),
+                         *options, str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {target}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_analyze_graph_file(tmp_path, capsys):
@@ -473,6 +585,26 @@ def test_loader_rejects_shape_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert "4x4" in err
+
+
+@pytest.mark.parametrize("kind", ["covariance", "realization"])
+def test_boolean_mode_count_rejected(tmp_path, capsys, kind):
+    # JSON true is a Python bool, which isinstance(..., int) accepts as 1
+    state = tmp_path / "vacuum.json"
+    save_covariance(state, states.vacuum(1))
+    path = tmp_path / "bool.json"
+    if kind == "covariance":
+        argv = ("analyze", str(path))
+        payload = {"kind": "covariance", "modes": True, "data": [[0.5, 0.0], [0.0, 0.5]]}
+    else:
+        argv = ("verify", str(path), str(state))
+        save_realization(path, synthesize(factor_covariance(states.vacuum(1))))
+        payload = {**json.loads(path.read_text()), "modes": True}
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: 'modes' must be a positive integer\n"
 
 
 def test_simulate_v0_mode_mismatch(tmp_path, capsys):
