@@ -273,6 +273,14 @@ class GenerationReport:
         return self.steady_covariance is not None and self.max_error <= self.tolerance
 
 
+def _require_target_modes(realization: Realization, target: CovarianceMatrix) -> None:
+    """Refuse a target state whose mode count is not the design's."""
+    if target.n_modes != realization.n_modes:
+        raise DimensionError(
+            f"target state has {target.n_modes} modes, realization has {realization.n_modes}"
+        )
+
+
 def verify_generation(realization: Realization, target: CovarianceMatrix,
                       tol: float = 1e-8, extra_rows=None,
                       constraint_tol: float = DEFAULT_TOL) -> GenerationReport:
@@ -290,7 +298,10 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
     relative above it, so a strongly squeezed target is judged against its
     own entries. ``constraint_tol`` is the structural tolerance of the one
     :func:`verify_constraints` call, whose report is ``constraints``.
+    A target with another mode count than the design raises
+    :class:`~gsynth.errors.DimensionError` before anything is solved.
     """
+    _require_target_modes(realization, target)
     if extra_rows is None:
         extra_rows = np.zeros((0, 2 * realization.n_modes))
     constraints = verify_constraints(realization, constraint_tol)

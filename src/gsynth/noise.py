@@ -24,7 +24,8 @@ from numpy.typing import NDArray
 from .errors import InvalidCovarianceError, NotHurwitzError
 from .gaussian import CovarianceMatrix, log_negativity, purity
 from .numerics import max_abs
-from .dynamics import MomentSystem, _coupled_steady_state, build_moment_system, steady_state
+from .dynamics import (MomentSystem, _coupled_steady_state, _require_target_modes,
+                       build_moment_system, steady_state)
 from .synthesis import Realization
 
 LOWERING = "lowering"
@@ -150,8 +151,10 @@ def robustness_report(realization: Realization, channels,
     touches only its own mode's ``(q_j, p_j)``, so the without branch of a
     passive diagonal design splits into per-mode 2 x 2 blocks, which
     :func:`steady_state` solves in closed form; a mode with no bath leaves
-    it without a steady state (``None``).
+    it without a steady state (``None``). A target with another mode count
+    than the design raises :class:`~gsynth.errors.DimensionError` first.
     """
+    _require_target_modes(realization, target)
     rows = _channel_rows(channels, realization.n_modes)
     with_metrics = _metrics(
         lambda: CovarianceMatrix(_coupled_steady_state(realization, rows)[1]))

@@ -23,10 +23,9 @@ certificate either way.
 The certificate makes ``Z``, ``R``, ``Gamma`` and ``Q`` block diagonal with
 distinct eigenvalues, so ``synthesize`` takes its coupling seed from one batched
 ``eig`` of the 2 x 2 blocks. :func:`is_controllable` is the general Hautus rank
-test (Hautus 1969). ``verify_constraints`` takes one batched ``eig`` over the
-support components of ``Q`` (a dense one as fallback), decides a distinct spectrum
-with a clear margin by the left-eigenvector form of the same test and runs
-:func:`is_controllable` otherwise, so any "not controllable" verdict comes from here.
+test (Hautus 1969). ``verify_constraints`` does not call it: in the Cholesky frame
+of ``Y`` a design's ``Q`` is ``-i`` times a Hermitian matrix, and one ``eigh`` of
+that matrix decides the rank condition.
 """
 
 from __future__ import annotations

@@ -9,11 +9,13 @@ diagonal with distinct eigenvalues) and assembles the Hamiltonian matrix
 ``G`` and the coupling row ``C``. The result drives the target state
 as the unique steady state of the associated moment dynamics, using a
 single dissipative channel and no oscillator-oscillator couplings.
+``verify_constraints`` re-checks a design, loaded or synthesized; its rank
+test is one ``eigh`` of ``Q`` in the Cholesky frame of ``Y``, where ``Q`` is
+``-i`` times a Hermitian matrix.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +29,7 @@ from .errors import (
 )
 from .gaussian import GraphMatrix
 from .numerics import DEFAULT_TOL, max_abs, symmetrized, threshold
-from .structure import LAMBDA, PI, BlockDecomposition, _components, decompose, is_controllable
-
-_EPS = float(np.finfo(float).eps)
-
-#: The rank test splits ``Q`` by its support from this many modes; below, one dense
-#: ``eig`` and ``inv`` cost less than the split (measured on a 2-vCPU Xeon, numpy 2.4.6).
-_SPLIT_MIN_MODES = 15
+from .structure import LAMBDA, PI, BlockDecomposition, decompose
 
 
 @dataclass(frozen=True)
@@ -253,90 +249,25 @@ def synthesize(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> Realization:
     return Realization(R=r, Gamma=gamma, P=p, G=g, C=build_C(graph, p), graph=graph)
 
 
-def _clearly_controllable(q, p, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the PBH left-eigenvector test clearly finds ``(q, p)`` controllable.
-
-    With ``q = V diag(w) V^-1`` and every eigenvalue its own cluster under
-    :func:`is_controllable`'s rule, the left eigenvectors ``w_k`` are the
-    rows of ``V^-1``, and ``(q, p)`` is controllable exactly when no
-    ``w_k^H p`` vanishes (Hautus 1969), so one :func:`_split_eigenbasis`
-    decides it. False means "not decided here": a non-finite ``q``, a
-    clustered spectrum, a singular ``V`` or a margin below the cutoff.
-    """
-    try:
-        w, v, left = _split_eigenbasis(q)
-    except np.linalg.LinAlgError:
-        return False
-    gaps = np.abs(w[:, None] - w)
-    gaps.flat[::len(w) + 1] = np.inf
-    gap = gaps.min(axis=1)
-    abs_w = np.abs(w)
-    if not gap.min() > threshold(float(abs_w.max()), tol):
-        return False
-    # Why the cutoff is safe. Hautus calls (q, p) controllable when, at each
-    # eigenvalue w_k, sigma_min([q - w_k I, p]) exceeds threshold(sigma_max, tol),
-    # and sigma_max is at most |q|_F + |w_k| + |p|_F. For a unit left vector x
-    # at angle theta to the left null vector w_k / |w_k|,
-    #   |x^H (q - w_k I)| >= s_k sin(theta),  |x^H p| >= c_k cos(theta) - |p|_F sin(theta),
-    # where c_k = |w_k^H p| / |w_k| is the margin times |p|_F, and s_k = gap_k / kappa
-    # bounds the second-smallest singular value of q - w_k I = V (diag(w) - w_k I) V^-1
-    # from below, kappa = |V|_F |V^-1|_F. The larger of the two is smallest
-    # where they cross, so
-    #   sigma_min >= s_k c_k / sqrt((s_k + |p|_F)^2 + c_k^2) = bound_k.
-    # Accepting only bound_k > 2 threshold + slack, the slack covering the
-    # rounding of eig and inv (n eps kappa |[q, p]|), leaves Hautus nothing to
-    # reject. A non-finite p, overflow or a zero p makes a bound NaN or 0, which
-    # fails, and Hautus then gives the verdict or the error.
-    with np.errstate(all="ignore"):
-        p_norm = math.sqrt(np.vdot(p, p).real)
-        q_norm = math.sqrt(np.vdot(q, q).real)
-        left_sq = np.abs(left) ** 2
-        kappa = math.sqrt(np.vdot(v, v).real * left_sq.sum())
-        reach = np.sqrt((np.abs(left @ p) ** 2).sum(axis=1) / left_sq.sum(axis=1))
-        s = gap / kappa
-        bound = reach / np.sqrt((1.0 + p_norm / s) ** 2 + (reach / s) ** 2)
-        cutoff = (2.0 * tol * np.maximum(1.0, q_norm + abs_w + p_norm)
-                  + q.shape[0] * _EPS * kappa * (q_norm + p_norm))
-        return bool(np.all(bound > cutoff))
-
-
-def _split_eigenbasis(q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(w, V, V^-1)`` of ``q``: from :data:`_SPLIT_MIN_MODES` modes, if no component of
-    its exact nonzero support spans more than two, one batched ``eig`` with closed-form
-    inverses (non-finite if singular) and lone diagonal entries; else dense ``eig`` and ``inv``.
-    """
-    n = len(q)
-    if n >= _SPLIT_MIN_MODES:
-        support = q != 0
-        _, size, pairs = _components(support | support.T)
-        if size.max() <= 2:
-            rows, cols = pairs[:, :, None], pairs[:, None, :]
-            w, v = q.diagonal().astype(complex), np.eye(n, dtype=complex)
-            left = v.copy()
-            w[pairs], v_b = np.linalg.eig(q[rows, cols])
-            v[rows, cols] = v_b
-            with np.errstate(all="ignore"):
-                det = v_b[:, 0, 0] * v_b[:, 1, 1] - v_b[:, 0, 1] * v_b[:, 1, 0]
-                # the adjugate [[d, -b], [-c, a]] over the determinant
-                left[rows, cols] = (v_b[:, ::-1, ::-1].transpose(0, 2, 1) * [[1, -1], [-1, 1]]
-                                    / det[:, None, None])
-            return w, v, left
-    w, v = np.linalg.eig(q)
-    return w, v, np.linalg.inv(v)
-
-
 def verify_constraints(realization: Realization, tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Check a design against the structural constraints.
 
     Reports whether ``G`` is the passive diagonal form ``diag(d, d)``,
     whether exactly one designed dissipative channel is present, and
     whether the controllability rank condition holds for
-    ``Q = -i R Y + Y^-1 Gamma`` with the stored coupling seed. One batched
-    ``eig`` over the support components of ``Q`` (a dense one as fallback,
-    :func:`_split_eigenbasis`) accepts distinct eigenvalues whose left
-    eigenvectors all clearly reach the seed; otherwise the general Hautus
-    test :func:`~gsynth.structure.is_controllable` decides, so the verdict
-    is always the one that test gives.
+    ``Q = -i R Y + Y^-1 Gamma`` with the stored coupling seed ``P`` (N x K).
+
+    The rank test runs in a frame where ``Q`` is normal. With ``Y = L L^T``
+    (Cholesky), ``L^T Q L^-T = -i Omega`` for the Hermitian
+    ``Omega = L^T R L + i L^-1 Gamma L^-T``, as ``R`` is diagonal and
+    ``Gamma`` antisymmetric, and the seed becomes ``c = L^T P``; a
+    similarity keeps controllability (Hautus 1969). One ``eigh`` of
+    ``Omega`` sorts its eigenvalues, and a run of them whose consecutive
+    gaps are at most ``threshold(max|w|, tol)`` is one cluster. The pair
+    is controllable when no cluster has more than K members and, for each
+    cluster's eigenvectors ``U_cl``, the least singular value of
+    ``U_cl^H c`` exceeds ``threshold(1, tol) |c|``. A lone eigenvalue's is
+    the norm of its row of ``U^H c``, so a one-column seed takes no SVD.
     """
     n = realization.n_modes
     g = realization.G
@@ -354,10 +285,20 @@ def verify_constraints(realization: Realization, tol: float = DEFAULT_TOL) -> Co
         violations.append(f"{realization.n_channels} designed channels present, expected 1")
 
     graph = realization.graph
-    q = -1j * realization.R @ graph.Y + graph._y_inv @ realization.Gamma
-    # a "not controllable" verdict always comes from the general Hautus test
-    rank_ok = (_clearly_controllable(q, realization.P, tol)
-               or is_controllable(q, realization.P, tol))
+    lower = np.linalg.cholesky(graph.Y)
+    lower_inv = lower.T @ graph._y_inv
+    omega = lower.T @ realization.R @ lower + 1j * (lower_inv @ realization.Gamma @ lower_inv.T)
+    w, u = np.linalg.eigh(omega)
+    c = lower.T @ realization.P
+    reach = u.conj().T @ c
+    margin = np.linalg.norm(reach, axis=1)
+    joined = np.diff(w) <= threshold(max_abs(w), tol)
+    if joined.any():
+        # a cluster of more than K eigenvalues leaves U_cl^H c rank deficient
+        for cluster in np.split(np.arange(n), np.flatnonzero(~joined) + 1):
+            margin[cluster] = (np.linalg.svd(reach[cluster], compute_uv=False)[-1]
+                               if len(cluster) <= c.shape[1] else 0.0)
+    rank_ok = bool(np.all(margin > threshold(1.0, tol) * np.linalg.norm(c)))
     if not rank_ok:
         violations.append(f"coupling seed does not reach all {n} modes (rank condition fails)")
 

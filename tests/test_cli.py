@@ -567,6 +567,23 @@ def test_unwritable_output_path_is_io_error(tmp_path, capsys, command, options):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "thermal"])
+def test_target_of_another_mode_count_is_refused(tmp_path, capsys, command):
+    # a 3-mode target for a 2-mode design is refused before any solve
+    design = tmp_path / "design.json"
+    save_realization(design, tms_realization(0.7))
+    cluster = tmp_path / "cluster.json"
+    save_covariance(cluster, cluster_parts(0.5).cov)
+    argv = {"verify": ["verify", str(design), str(cluster)],
+            "thermal": ["thermal", str(design), "--gamma", "0.01", "--nbar", "1",
+                        "--modes", "0", "--target", str(cluster)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: target state has 3 modes, realization has 2\n"
+    assert "Traceback" not in err
+
+
 def test_analyze_graph_file(tmp_path, capsys):
     path = tmp_path / "pair.json"
     save_graph(path, pair_graph())

@@ -88,9 +88,8 @@ def test_design_drift_is_decomposed_once(monkeypatch):
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda m: shapes.append(m.shape) or eig(m))
     report = verify_generation(unstable, graph_to_covariance(graph))
-    # the rank test's Q (3 modes, below the split size: one dense eig), then
-    # the 6 x 6 drift, once
-    assert shapes == [(3, 3), (6, 6)]
+    # the 6 x 6 drift, once; the rank test takes a Hermitian eigh, not eig
+    assert shapes == [(6, 6)]
     assert not report.hurwitz
     assert not is_hurwitz(build_moment_system(unstable.G, unstable.C).A)
 
@@ -98,7 +97,7 @@ def test_design_drift_is_decomposed_once(monkeypatch):
     shapes.clear()
     monkeypatch.setattr(gsynth.numerics, "_modal_lyapunov", lambda *args: None)
     report = verify_generation(real, states.two_mode_squeezed(0.7))
-    assert shapes == [(2, 2), (4, 4)]
+    assert shapes == [(4, 4)]
     assert report.generates_target
     assert report.max_error < 1e-10
 

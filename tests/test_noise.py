@@ -299,11 +299,11 @@ def test_design_checks_skip_eigensolvers(monkeypatch):
     robustness = robustness_report(real, baths, target)
     assert report.generates_target
     assert robustness.without_coupling is not None
-    # the rank test's Q splits into the certificate's 8 pairs, decomposed as
-    # one (8, 2, 2) stack, and the design's drift (2N x 2N) is decomposed
-    # once, its basis reused by the uniform bath; the bath-only drift takes none
-    assert eig_shapes == [(8, 2, 2), (32, 32)]
-    # the verdict is the general Hautus test's on the dense Q
+    # the rank test takes a Hermitian eigh, not eig, and the design's drift
+    # (2N x 2N) is decomposed once, its basis reused by the uniform bath; the
+    # bath-only drift takes none
+    assert eig_shapes == [(32, 32)]
+    # the verdict agrees with the general Hautus test on the dense Q
     q = -1j * real.R @ graph.Y + np.linalg.inv(graph.Y) @ real.Gamma
     assert report.constraints.rank_condition == is_controllable(q, real.P)
 

@@ -25,10 +25,11 @@ from gsynth import (
     verify_constraints,
 )
 from gsynth.dynamics import _van_loan_step, build_moment_system, steady_state, verify_generation
-from gsynth.numerics import expm
+from gsynth.numerics import DEFAULT_TOL, expm
 from conftest import (
     SQRT6_2,
     cluster_parts,
+    controllability_rank,
     eight_mode_graph,
     eight_mode_reference_p,
     pair_graph,
@@ -419,17 +420,32 @@ def test_synthesize_at_supported_size_limit():
 
 
 def _design_q(real):
-    # the matrix verify_constraints rank-tests
+    # Q = -i R Y + Y^-1 Gamma, whose rank condition verify_constraints judges
     return -1j * real.R @ real.graph.Y + np.linalg.inv(real.graph.Y) @ real.Gamma
 
 
+RANK_TOLS = (0.0, 1e-9, 1e-3)
+
+
+def _reaches_every_block(real, p, tol) -> bool:
+    """Per-block Krylov reference for the rank condition of ``(Q, p)``.
+
+    The certificate makes ``Q`` block diagonal with pairwise distinct block
+    spectra (0 or {0, -i}, then +-j i for the j-th block), so a seed reaches
+    ``Q`` exactly when its Krylov matrix has full rank on every block, each
+    at most 2 x 2 and well conditioned.
+    """
+    q = _design_q(real)
+    p = np.asarray(p).reshape(len(q), -1)
+    return all(controllability_rank(q[np.ix_(b, b)], p[b], tol) == len(b)
+               for b in _certificate_blocks(real.graph))
+
+
 def test_verify_constraints_takes_no_svd_on_designs(monkeypatch):
-    # designed systems have a distinct spectrum and a clear margin, so the
-    # left-eigenvector test decides and Hautus (one SVD per eigenvalue) never
-    # runs; from the split size their Q splits into the certificate's
-    # blocks, so no eig is dense
-    import gsynth.structure
-    from gsynth.synthesis import _SPLIT_MIN_MODES
+    # designed systems have a distinct spectrum in the Hermitian frame, so a
+    # one-column seed is judged by the rows of U^H c: neither an SVD nor a
+    # non-Hermitian eig runs, and every design reaches all its modes, as the
+    # per-block Krylov reference says
     from gsynth import BlockClass, assemble_graph
     from gsynth.structure import XI_PHI
     from conftest import random_phi_block
@@ -440,28 +456,24 @@ def test_verify_constraints_takes_no_svd_on_designs(monkeypatch):
         graph = assemble_graph([BlockClass(XI_PHI, random_phi_block(rng)) for _ in range(n // 2)])
         designs.append(synthesize(graph))
     designs.append(synthesize(eight_mode_graph()))
+    for real in designs:
+        assert all(_reaches_every_block(real, real.P, tol) for tol in RANK_TOLS)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("verify_constraints fell back to the Hautus test")
+        raise AssertionError("the rank test took an SVD or a non-Hermitian eig")
 
-    eig, shapes = np.linalg.eig, []
-    monkeypatch.setattr(gsynth.structure, "rank_tol", forbidden)
-    monkeypatch.setattr(np.linalg, "eig", lambda m: shapes.append(np.shape(m)) or eig(m))
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
     for real in designs:
-        shapes.clear()
-        assert verify_constraints(real).all_ok
-        n = real.n_modes
-        assert shapes == ([(n // 2, 2, 2)] if n >= _SPLIT_MIN_MODES else [(n, n)])
+        for tol in RANK_TOLS:
+            assert verify_constraints(real, tol).all_ok
 
 
-def test_rank_test_falls_back_to_hautus(monkeypatch):
-    # a clustered spectrum, a Jordan block or a seed that misses an eigenvector
-    # is left to is_controllable; the verdict matches the Krylov reference
-    import gsynth.synthesis
+def test_rank_test_refuses_a_seed_that_misses_a_pair():
+    # the general Hautus test agrees with the Krylov rank on a clustered
+    # spectrum, a Jordan block and seeds that miss an eigenvector
     from gsynth import BlockClass, assemble_graph
     from gsynth.structure import XI_PHI, is_controllable
-    from gsynth.synthesis import _clearly_controllable
-    from conftest import controllability_rank
 
     rng = np.random.default_rng(89)
     f = rng.normal(size=(3, 3))
@@ -473,50 +485,57 @@ def test_rank_test_falls_back_to_hautus(monkeypatch):
              (distinct, vecs[:, 0]), (distinct, vecs[:, :2] @ np.array([1.0, -0.5j]))]
     for q, p in cases:
         p = p.reshape(3, -1)
-        assert not _clearly_controllable(q, p)
         assert is_controllable(q, p) == (controllability_rank(q, p) == 3)
 
-    # a one-mode seed on a two-pair design reaches one pair only
-    calls = []
-
-    def counted(q, p, tol):
-        calls.append(q)
-        return is_controllable(q, p, tol)
-
-    monkeypatch.setattr(gsynth.synthesis, "is_controllable", counted)
+    # a one-mode seed on a two-pair design reaches one pair only, at every
+    # tolerance; the synthesized seed reaches both
     real = synthesize(assemble_graph([BlockClass(XI_PHI, pair_graph().Z),
                                       BlockClass(XI_PHI, tms_graph(0.7).Z)]))
     one_mode = real.P * 0.0
     one_mode[0, 0] = 1.0
     seeded = assemble_realization(real.graph, real.R, real.Gamma, one_mode)
-    report = verify_constraints(seeded)
-    assert len(calls) == 1
-    assert report.rank_condition == (controllability_rank(_design_q(seeded), one_mode) == 4)
-    assert not report.rank_condition
-    calls.clear()
-    assert verify_constraints(real).rank_condition
-    assert calls == []
+    assert controllability_rank(_design_q(seeded), one_mode) < 4
+    for tol in RANK_TOLS:
+        assert not _reaches_every_block(seeded, one_mode, tol)
+        assert not verify_constraints(seeded, tol).rank_condition
+        assert _reaches_every_block(real, real.P, tol)
+        assert verify_constraints(real, tol).rank_condition
 
 
-def test_rank_test_agrees_with_hautus():
-    # accepted and declined cases alike: the combined verdict is Hautus's
-    from gsynth.structure import is_controllable
-    from gsynth.synthesis import _clearly_controllable
-
+def test_rank_test_agrees_with_block_krylov_on_random_designs():
+    # the synthesized seed, a generic one and a one-mode one, accepted and
+    # refused alike: the verdict is the per-block Krylov reference's
     rng = np.random.default_rng(97)
-    accepted = 0
+    verdicts = set()
     for _ in range(60):
         graph = random_feasible_graph(rng, max_pairs=8)
         real = synthesize(graph)
-        q = _design_q(real)
-        n = q.shape[0]
+        n = graph.n_modes
         for p in (real.P, rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1)),
                   np.eye(n)[:, :1]):
-            for tol in (0.0, 1e-9, 1e-3):
-                fast = _clearly_controllable(q, p, tol)
-                accepted += fast
-                assert (fast or is_controllable(q, p, tol)) == is_controllable(q, p, tol)
-    assert accepted > 0
+            seeded = assemble_realization(graph, real.R, real.Gamma, p)
+            for tol in RANK_TOLS:
+                got = verify_constraints(seeded, tol).rank_condition
+                assert got == _reaches_every_block(seeded, p, tol)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("alpha", [5.5, 6.0, 7.0])
+def test_strongly_squeezed_design_passes_rank(alpha):
+    # in the Hermitian frame the rank margin of tms(alpha) falls as about
+    # e^-alpha, not as e^-4 alpha in the frame of Q, so the design reaches both modes
+    real = synthesize(factor_covariance(states.two_mode_squeezed(alpha)))
+    assert _reaches_every_block(real, real.P, DEFAULT_TOL)
+    assert verify_constraints(real).rank_condition
+
+
+def test_32_mode_design_passes_rank_at_loose_tol():
+    # at tol 1e-3 each eigenvector of Omega is judged at the scale of the
+    # seed alone, so a 32-mode design is not refused for its size
+    real = synthesize(_relabeled_design_graph(np.random.default_rng(0), 32))
+    assert _reaches_every_block(real, real.P, 1e-3)
+    assert verify_constraints(real, 1e-3).all_ok
 
 
 def _relabeled_design_graph(rng, n: int) -> GraphMatrix:
@@ -538,42 +557,24 @@ def _certificate_blocks(graph) -> list[list[int]]:
     return ([image[:1]] if n % 2 else []) + [image[k:k + 2] for k in range(n % 2, n, 2)]
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
-def test_rank_verdict_matches_krylov_reference(monkeypatch, tol):
-    # The certificate makes Q block diagonal with pairwise distinct block
-    # spectra (0 or {0, -i}, then +-j i for the j-th block), so a seed reaches
-    # Q exactly when its Krylov matrix has full rank on every block, each at
-    # most 2 x 2 and well conditioned. The block path's verdict must agree.
-    # At tol 1e-3 the Hautus test, which gives every refusal, judges each
-    # eigenvalue at the scale of the whole [Q - w I, p] (about N) and refuses
-    # seeds whose blocks the Krylov reference, at each block's own scale,
-    # accepts; there the verdict must still be Hautus's, and an acceptance
-    # must still be the reference's.
-    from conftest import controllability_rank
-    from gsynth import is_controllable
-
-    def reference(q, p, blocks):
-        return all(controllability_rank(q[np.ix_(b, b)], p[b], tol) == len(b) for b in blocks)
-
-    def agrees(got, q, p, blocks):
-        if tol <= 1e-9:
-            return got == reference(q, p, blocks)
-        return got == is_controllable(q, p, tol) and (not got or reference(q, p, blocks))
-
+@pytest.mark.parametrize("tol", RANK_TOLS)
+def test_rank_verdict_matches_krylov_reference(tol):
+    # The verdict must agree with the per-block Krylov reference on the
+    # synthesized seed, a seed with one block zeroed and a generic seed.
     rng = np.random.default_rng(41)
     for n in range(1, 33):
         graph = _relabeled_design_graph(rng, n)
         real = synthesize(graph)
         blocks = _certificate_blocks(graph)
-        q = _design_q(real)
         zeroed = real.P.copy()
         zeroed[blocks[int(rng.integers(len(blocks)))]] = 0.0
         generic = rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
         for p in (real.P, zeroed, generic):
             seeded = assemble_realization(graph, real.R, real.Gamma, p)
-            assert agrees(verify_constraints(seeded, tol).rank_condition, q, p, blocks), n
+            assert verify_constraints(seeded, tol).rank_condition == _reaches_every_block(
+                seeded, p, tol), n
         # a seed with no weight on one block never reaches it
-        assert not reference(q, zeroed, blocks)
+        assert not _reaches_every_block(real, zeroed, tol)
 
     # Two blocks given one frequency share their eigenvalues, which no single
     # seed can separate: refused, as the Krylov rank of the whole Q says.
@@ -589,11 +590,8 @@ def test_rank_verdict_matches_krylov_reference(monkeypatch, tol):
             assert controllability_rank(_design_q(shared), p, tol) < n
             assert not verify_constraints(shared, tol).rank_condition, n
 
-    # A 1e-17 entry of Gamma between two blocks joins them in the support of
-    # Q, so one component is wider than two modes and the dense eig decides
-    # (below the split size, 15 modes, it decides anyway).
-    eig, shapes = np.linalg.eig, []
-    monkeypatch.setattr(np.linalg, "eig", lambda m: shapes.append(np.shape(m)) or eig(m))
+    # A 1e-17 entry of Gamma between two blocks couples them in Omega far
+    # below their eigenvalue gaps: the verdict stays the per-block one.
     for n in (4, 9, 16, 32):
         graph = _relabeled_design_graph(rng, n)
         real = synthesize(graph)
@@ -601,11 +599,9 @@ def test_rank_verdict_matches_krylov_reference(monkeypatch, tol):
         gamma = real.Gamma.copy()
         a, b = blocks[-1][0], blocks[-2][0]
         gamma[a, b], gamma[b, a] = 1e-17, -1e-17
-        shapes.clear()
         joined = assemble_realization(graph, real.R, gamma, real.P)
-        got = verify_constraints(joined, tol).rank_condition
-        assert shapes == [(n, n)]
-        assert agrees(got, _design_q(joined), real.P, blocks)
+        assert verify_constraints(joined, tol).rank_condition == _reaches_every_block(
+            joined, real.P, tol), n
 
 
 STORED_BYTES = Path(__file__).parent / "data" / "synthesize_bytes.json"
