@@ -254,16 +254,9 @@ def cmd_simulate(args) -> tuple[str, int]:
     system = build_moment_system(realization.G, np.vstack([realization.C, noise_rows]))
     if not is_hurwitz(system.A) and not args.allow_unstable:
         raise NotHurwitzError("system is not Hurwitz; pass --allow-unstable to integrate anyway")
-    if args.v0:
-        v0 = _as_covariance(load_state_file(args.v0))
-        if v0.n_modes != realization.n_modes:
-            raise MatrixFileError(
-                f"initial state has {v0.n_modes} modes, realization has {realization.n_modes}"
-            )
-    else:
-        v0 = CovarianceMatrix.vacuum(realization.n_modes)
-    times = np.linspace(0.0, t_max, args.steps)
-    trajectory = evolve(system, v0, times)
+    v0 = (_as_covariance(load_state_file(args.v0)) if args.v0
+          else CovarianceMatrix.vacuum(realization.n_modes))
+    trajectory = evolve(system, v0, np.linspace(0.0, t_max, args.steps))
 
     n2 = 2 * realization.n_modes
     header = ["t"]

@@ -158,7 +158,8 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
     batch by the current pair, which is then squared,
     ``(Phi, Q) <- (Phi Phi, Phi Q Phi.T + Q)``. The flows of one drift
     commute, so this is as accurate as stepping sample by sample. An
-    irregular grid takes one step per gap.
+    irregular grid takes one step per gap. A ``v0`` with another mode
+    count than the system raises :class:`~gsynth.errors.DimensionError`.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -169,7 +170,7 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
         raise ValueError("times must be nonnegative and ascending")
     n2 = system.A.shape[0]
     if v0.V.shape != (n2, n2):
-        raise DimensionError("initial covariance size does not match the system")
+        raise DimensionError(f"initial state has {v0.n_modes} modes, system has {system.n_modes}")
     mean = np.zeros(n2) if mean0 is None else np.asarray(mean0, dtype=float)
     if mean.shape != (n2,):
         raise DimensionError(f"initial mean must have length {n2}")

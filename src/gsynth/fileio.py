@@ -39,6 +39,8 @@ def _pairs_to_complex(data, context: str) -> np.ndarray:
         raise MatrixFileError(f"{context}: entries must be [re, im] pairs") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise MatrixFileError(f"{context}: entries must be [re, im] pairs")
+    if not np.all(np.isfinite(arr)):
+        raise MatrixFileError(f"{context}: matrix has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

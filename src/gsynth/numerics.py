@@ -193,8 +193,8 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     The first three use numpy alone, so a non-Hurwitz drift is refused
     without loading scipy, and every "not Hurwitz" verdict comes from the
     closed form or the eigenvalues of ``a`` itself, never from a
-    candidate. The noise matrix is checked and symmetrized by
-    :func:`symmetrized`.
+    candidate. This entry checks the caller's ``a`` and ``d`` (``d`` by
+    :func:`symmetrized`); a ``MomentSystem``'s are checked already.
 
     Raises
     ------
@@ -207,6 +207,13 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
         If ``a`` is not Hurwitz, in which case the equation has no unique
         stabilizing solution, or if the solution fails the residual check.
     """
+    a = _require_square(np.asarray(a, dtype=float), "drift matrix")
+    d = np.asarray(d, dtype=float)
+    if d.shape != a.shape:
+        raise DimensionError(f"noise matrix shape {d.shape} does not match {a.shape}")
+    d = symmetrized(d, "noise matrix")
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     return _solve_lyapunov(a, d, None)
 
 
@@ -215,14 +222,9 @@ class _OwnBasis(tuple):
 
 
 def _solve_lyapunov(a, d, basis) -> NDArray[np.float64]:
-    """:func:`solve_lyapunov` with a candidate ``(w, s, s^-1)``, an :class:`_OwnBasis` or None."""
-    a = _require_square(np.asarray(a, dtype=float), "drift matrix")
-    d = np.asarray(d, dtype=float)
-    if d.shape != a.shape:
-        raise DimensionError(f"noise matrix shape {d.shape} does not match {a.shape}")
-    d = symmetrized(d, "noise matrix")
-    if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    """:func:`solve_lyapunov` with a candidate ``(w, s, s^-1)``, an :class:`_OwnBasis` or
+    None, on checked input: float ``a`` and ``d`` of one square shape, ``a`` finite and
+    ``d`` exactly symmetric, as a :class:`~gsynth.dynamics.MomentSystem` holds them."""
     own = isinstance(basis, _OwnBasis)
     v = _per_mode_lyapunov(a, d) if a.shape[0] % 2 == 0 else None
     if v is None and basis is not None and not own and basis[0].real.max() < -HURWITZ_TOL:

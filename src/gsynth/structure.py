@@ -195,7 +195,7 @@ def decompose(graph: GraphMatrix, tol: float = DEFAULT_TOL) -> BlockDecompositio
 def _decompose(graph: GraphMatrix, tol: float) -> BlockDecomposition:
     """The classification of :func:`decompose`, made afresh: one mask finds the structural
     zeros, one batched test judges every coupled pair, and the 2 x 2 blocks form one
-    ``(k, 2, 2)`` stack, kept on the result for ``build_R`` and the seed.
+    ``(k, 2, 2)`` stack, kept on the result for the coupling seed's batched ``eig``.
     """
     z = graph.Z
     n = graph.n_modes

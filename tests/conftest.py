@@ -135,6 +135,43 @@ def standard_baths(n_modes: int = 2, gamma: float = THERMAL_GAMMA, nbar: float =
     return channels
 
 
+# --- certified graphs that only pass at their tolerance ---
+
+def near_pair_graph() -> GraphMatrix:
+    """The pair ``z11 = 0.5 + 1.2i`` with ``z12`` 1e-5 relative off ``sqrt(z11**2 + 1)``:
+    a coupled-pair member at tolerance 1e-3, not at the default."""
+    z11 = 0.5 + 1.2j
+    z12 = np.sqrt(z11 ** 2 + 1.0) * (1.0 + 1e-5)
+    z = np.array([[z11, z12], [z12, z11]])
+    return GraphMatrix(z.real, z.imag)
+
+
+def residue_graph(rng: np.random.Generator, n: int, tol: float) -> GraphMatrix:
+    """A certified graph of ``n`` modes whose structural zeros are not zero.
+
+    Coupled pairs with ``Re z11`` in (-2, 2), ``Im z11`` in (0.3, 2) and
+    ``z12 = +-sqrt(z11**2 + 1)``, and a lone scalar when ``n`` is odd. Every
+    entry between two blocks is 0.5 to 0.9 of the certificate's threshold
+    ``tol max(1, sqrt(|Z_jj| |Z_kk|))`` at a random phase, and the modes are
+    relabeled at random.
+    """
+    z = np.zeros((n, n), dtype=complex)
+    for k in range(0, n - 1, 2):
+        z11 = rng.uniform(-2.0, 2.0) + 1j * rng.uniform(0.3, 2.0)
+        z12 = np.sqrt(z11 ** 2 + 1.0) * rng.choice([-1.0, 1.0])
+        z[k:k + 2, k:k + 2] = [[z11, z12], [z12, z11]]
+    if n % 2:
+        z[-1, -1] = rng.uniform(-2.0, 2.0) + 1j * rng.uniform(0.3, 2.0)
+    size = np.abs(z.diagonal())
+    off = np.triu(rng.uniform(0.5, 0.9, (n, n)) * tol
+                  * np.maximum(1.0, np.sqrt(np.outer(size, size)))
+                  * np.exp(2j * np.pi * rng.random((n, n))), 1)
+    block = np.arange(n) // 2
+    z = np.where(block[:, None] == block, z, off + off.T)
+    z = Permutation(tuple(int(k) for k in rng.permutation(n))).conjugate(z)
+    return GraphMatrix(z.real, z.imag)
+
+
 # --- random generators ---
 
 def random_phi_block(rng: np.random.Generator) -> np.ndarray:

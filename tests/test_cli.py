@@ -30,6 +30,7 @@ from conftest import (
     THERMAL_TMS_V,
     cluster_parts,
     eight_mode_graph,
+    near_pair_graph,
     pair_graph,
     tms_realization,
 )
@@ -629,10 +630,76 @@ def test_simulate_v0_mode_mismatch(tmp_path, capsys):
     run(capsys, "synthesize", str(tms))
     v0 = tmp_path / "v0.json"
     save_covariance(v0, states.vacuum(3))
-    code, _, err = run(capsys, "simulate", str(tmp_path / "tms.realization.json"),
-                       "--v0", str(v0))
+    code, out, err = run(capsys, "simulate", str(tmp_path / "tms.realization.json"),
+                         "--v0", str(v0))
     assert code == 1
-    assert "modes" in err
+    assert out == ""
+    assert err == "error: initial state has 3 modes, system has 2\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["P", "C", "C_noise"])
+@pytest.mark.parametrize("command", ["verify", "simulate", "thermal"])
+def test_non_finite_design_entry_is_refused(tmp_path, capsys, field, command):
+    # the [re, im] pairs of P, C and C_noise are refused as the real
+    # matrices are: one error line naming the field, not a verdict or a
+    # traceback from the moment system
+    tms = write_tms(tmp_path)
+    design = tmp_path / "design.json"
+    real = tms_realization(0.7)
+    save_realization(design, real, noise_rows=np.zeros((1, 4)))
+    payload = json.loads(design.read_text())
+    payload[field][0][0][0] = float("nan")
+    design.write_text(json.dumps(payload))
+    argv = {"verify": ["verify", str(design), str(tms)],
+            "simulate": ["simulate", str(design)],
+            "thermal": ["thermal", str(design), "--gamma", "0.01", "--nbar", "1"]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {design}: {field}: matrix has non-finite entries\n"
+    assert "Traceback" not in err
+
+
+def _residue_beside_tms(path):
+    """Write tms(0.7) beside the pair ``z11 = 0.5 + 1.2i``, ``z12 = sqrt(z11**2 + 1)``,
+    with the entries between them at 0.9 of the default structural-zero threshold,
+    ``0.9e-9 max(1, sqrt(|Z_jj| |Z_kk|))``, and entry ``[0, 1]`` of that block negated."""
+    z11 = 0.5 + 1.2j
+    z12 = np.sqrt(z11 ** 2 + 1.0)
+    z = np.zeros((4, 4), dtype=complex)
+    z[:2, :2] = factor_covariance(states.two_mode_squeezed(0.7)).Z
+    z[2:, 2:] = [[z11, z12], [z12, z11]]
+    size = np.abs(z.diagonal())
+    off = 0.9e-9 * np.maximum(1.0, np.sqrt(np.outer(size[:2], size[2:])))
+    off[0, 1] *= -1.0
+    z[:2, 2:], z[2:, :2] = off, off.T
+    save_graph(path, GraphMatrix(z.real, z.imag))
+    return path
+
+
+@pytest.mark.parametrize("case", ["near", "residue"])
+def test_feasible_graph_always_gets_a_design(tmp_path, capsys, case):
+    # a graph that feasible accepts at --tol is synthesized at that --tol,
+    # and verify judges the design: the near-member pair (certified at 1e-3
+    # only) and structural zeros at 0.9 of their threshold, whose residue
+    # adds up in -Z R Z = R past a dense cut at |Z|^2 |R|, exit 0 throughout
+    if case == "near":
+        graph = tmp_path / "near.json"
+        save_graph(graph, near_pair_graph())
+        tol = ["--tol", "1e-3"]
+    else:
+        graph, tol = _residue_beside_tms(tmp_path / "residue.json"), []
+    design = tmp_path / "design.json"
+    for argv in (["feasible", str(graph)], ["synthesize", str(graph), "-o", str(design)],
+                 ["verify", str(design), str(graph)]):
+        code, out, err = run(capsys, *argv, *tol)
+        assert code == 0, err
+        assert err == ""
+    report = json.loads(out)
+    assert report["constraints"]["passive_diagonal"] and report["constraints"]["single_channel"]
+    if case == "residue":
+        assert report["generates_target"] is True
 
 
 def test_interleaved_covariance_ordering(tmp_path, capsys):
