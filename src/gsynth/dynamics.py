@@ -23,6 +23,7 @@ from .numerics import (
     DEFAULT_TOL,
     _OwnBasis,
     _solve_lyapunov,
+    all_finite,
     eigenbasis,
     expm,
     least_eigenvalue_unless_above,
@@ -46,6 +47,12 @@ class MomentSystem:
     ``-threshold(max|D|, DIFFUSION_PSD_TOL)``. A Cholesky factorization of
     ``D`` shifted by that floor accepts; only when it fails does
     ``eigvalsh`` decide, and a rejection raises :class:`InvalidDiffusionError`.
+
+    These checks run once, here: the steady-state solver takes ``A`` and
+    ``D`` as checked. ``D`` as :func:`build_moment_system` forms it comes
+    out exactly symmetric on a design's coupling, so its symmetry test is
+    the exact-form short cut of :func:`~gsynth.numerics.symmetrized`; one
+    with a rounding skew takes the scaled test.
     """
 
     A: np.ndarray
@@ -58,7 +65,7 @@ class MomentSystem:
             raise DimensionError(f"drift matrix must be 2N x 2N, got {a.shape}")
         if d.shape != a.shape:
             raise DimensionError("diffusion shape must match the drift")
-        if not (np.isfinite(a).all() and np.isfinite(d).all()):
+        if not all_finite(a, d):
             raise ValueError("drift and diffusion matrices have non-finite entries")
         d = symmetrized(d, "diffusion matrix", tol=1e-12)
         floor = threshold(max_abs(d), DIFFUSION_PSD_TOL)
@@ -82,7 +89,7 @@ def build_moment_system(g, c) -> MomentSystem:
     both from one product ``C^dag C``. ``c`` may have no rows.
     """
     g = np.asarray(g, dtype=float)
-    c = np.atleast_2d(np.asarray(c, dtype=complex))
+    c = np.array(c, dtype=complex, ndmin=2)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
         raise DimensionError(f"Hamiltonian matrix must be 2N x 2N, got {g.shape}")
     if c.shape[1] != g.shape[0]:
@@ -104,11 +111,11 @@ def steady_state(system: MomentSystem) -> CovarianceMatrix:
     ``InvalidCovarianceError`` when the solution violates the uncertainty
     relation.
     """
-    return CovarianceMatrix(_solve_lyapunov(system.A, system.D, None))
+    return CovarianceMatrix(_solve_lyapunov(system.A, system.D, None)[0])
 
 
-def _coupled_steady_state(realization: Realization, rows) -> tuple[MomentSystem, np.ndarray]:
-    """The system of a design with ``rows`` stacked under ``C``, and its steady state.
+def _coupled_steady_state(realization: Realization, rows) -> tuple[np.ndarray, float]:
+    """The steady state of a design with ``rows`` stacked under ``C``, and its residual.
 
     Every solve with the designed coupling comes here. The system is
     ``build_moment_system(G, [C; rows])``, so a bath is coupling rows on
@@ -120,9 +127,11 @@ def _coupled_steady_state(realization: Realization, rows) -> tuple[MomentSystem,
     the drift with rows has the same eigenvectors and eigenvalues ``w + c``,
     and that basis goes to :func:`~gsynth.numerics.solve_lyapunov`'s route 2 as
     a candidate; failing the assembled system, it gives way to that drift's own.
+    The residual ``||A V + V A.T + D||`` is the one the accepting route judged.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
-    system = build_moment_system(realization.G, np.vstack([realization.C, rows]))
+    rows = np.array(rows, dtype=complex, ndmin=2)
+    system = build_moment_system(
+        realization.G, np.vstack([realization.C, rows]) if len(rows) else realization.C)
     basis = realization.__dict__.get("_drift_basis")
     if basis is None:
         design = build_moment_system(realization.G, realization.C) if len(rows) else system
@@ -132,7 +141,7 @@ def _coupled_steady_state(realization: Realization, rows) -> tuple[MomentSystem,
         shift = own[0, 0]
         w, s, s_inv = basis
         basis = (w + shift, s, s_inv) if np.array_equal(own, shift * np.eye(len(own))) else None
-    return system, _solve_lyapunov(system.A, system.D, basis)
+    return _solve_lyapunov(system.A, system.D, basis)
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(times)):
+    if not all_finite(times):
         raise ValueError("times must be finite")
     if times[0] < 0 or np.any(np.diff(times) < 0):
         raise ValueError("times must be nonnegative and ascending")
@@ -276,7 +285,7 @@ class GenerationReport:
 
 def _require_target_modes(realization: Realization, target: CovarianceMatrix) -> None:
     """Refuse a target state whose mode count is not the design's."""
-    if target.n_modes != realization.n_modes:
+    if target.V.shape != realization.G.shape:
         raise DimensionError(
             f"target state has {target.n_modes} modes, realization has {realization.n_modes}"
         )
@@ -301,6 +310,12 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
     :func:`verify_constraints` call, whose report is ``constraints``.
     A target with another mode count than the design raises
     :class:`~gsynth.errors.DimensionError` before anything is solved.
+
+    Each fact is computed once: ``lyapunov_residual`` is the Frobenius norm
+    of ``A V + V A.T + D`` that the accepting route of the solve judged, not
+    a second product, and the steady state is checked once, by
+    :class:`~gsynth.gaussian.CovarianceMatrix` (its symmetry by the
+    exact-form short cut of :func:`~gsynth.numerics.symmetrized`).
     """
     _require_target_modes(realization, target)
     if extra_rows is None:
@@ -308,7 +323,7 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
     constraints = verify_constraints(realization, constraint_tol)
     bound = threshold(max_abs(target.V), tol)
     try:
-        system, v = _coupled_steady_state(realization, extra_rows)
+        v, residual = _coupled_steady_state(realization, extra_rows)
     except NotHurwitzError:
         return GenerationReport(
             hurwitz=False, lyapunov_residual=float("inf"), max_error=float("inf"),
@@ -323,7 +338,7 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
         pass
     return GenerationReport(
         hurwitz=True,
-        lyapunov_residual=float(np.linalg.norm(system.A @ v + v @ system.A.T + system.D)),
+        lyapunov_residual=residual,
         max_error=max_abs(v - target.V),
         steady_purity=steady_purity,
         constraints=constraints,

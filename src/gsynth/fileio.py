@@ -9,7 +9,6 @@ thermal rows under ``C_noise``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -23,7 +22,13 @@ FORMAT_VERSION = 1
 
 
 def file_digest(path) -> str:
-    """Hex SHA-256 of a file's bytes, for report provenance."""
+    """Hex SHA-256 of a file's bytes, for report provenance.
+
+    ``hashlib`` is imported here, by the commands that report a digest, so
+    importing the command line does not load it.
+    """
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -24,7 +24,15 @@ from .errors import (
     NotPureStateError,
     UnsupportedBipartitionError,
 )
-from .numerics import DEFAULT_TOL, least_eigenvalue_unless_above, max_abs, symmetrized, threshold
+from .numerics import (
+    DEFAULT_TOL,
+    TOL_FLOOR,
+    all_finite,
+    least_eigenvalue_unless_above,
+    max_abs,
+    symmetrized,
+    threshold,
+)
 
 #: Eigenvalue slack allowed when checking physicality, at the scale of the
 #: covariance's entries (see :func:`gsynth.numerics.threshold`).
@@ -70,7 +78,7 @@ class CovarianceMatrix:
         v = np.asarray(self.V, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2 or v.shape[0] == 0:
             raise DimensionError(f"covariance matrix must be 2N x 2N, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not all_finite(v):
             raise InvalidCovarianceError("covariance matrix has non-finite entries")
         try:
             v = symmetrized(v, "covariance matrix")
@@ -102,7 +110,7 @@ class CovarianceMatrix:
         modes).
         """
         residual = abs(float(np.linalg.det(self.V)) * 4.0 ** self.n_modes - 1.0)
-        floor = 16.0 * np.finfo(float).eps * float(np.linalg.norm(self.V)) ** 2
+        floor = TOL_FLOOR * float(np.linalg.norm(self.V)) ** 2  # 16 eps ||V||_F**2
         return residual, floor
 
     def is_pure(self, tol: float = DEFAULT_TOL) -> bool:
@@ -125,16 +133,21 @@ class GraphMatrix:
     """The complex symmetric label ``Z = X + iY`` of a pure Gaussian state.
 
     ``X`` and ``Y`` are real symmetric N x N matrices and ``Y`` is positive
-    definite (minimum eigenvalue above ``POSDEF_TOL``). A Cholesky
-    factorization of ``Y - POSDEF_TOL I`` accepts; only when it fails does
+    definite (minimum eigenvalue above ``POSDEF_TOL``). ``Y`` is factored
+    once, ``Y = L L^T`` (Cholesky), and inverted once: as ``lambda_min(Y) =
+    1 / lambda_max(Y^-1) >= 1 / trace(Y^-1)``, a factorization that completes
+    with ``trace(Y^-1) < 1 / (2 POSDEF_TOL)`` accepts, and only otherwise does
     ``eigvalsh`` decide.
 
     A graph is immutable. It stores its own symmetrized copies of ``X`` and
     ``Y``, read-only, so the caller's arrays stay writable. Facts derived
-    from it are computed once and kept on the instance: ``Z`` (read-only
-    too), ``Y^-1`` and the certificate of :func:`gsynth.structure.decompose`
-    for each tolerance. Equality, ``repr`` and ``dataclasses.replace`` see
-    the fields alone, and a replaced graph computes its facts afresh.
+    from it are computed once and kept on the instance, read-only: ``Z``,
+    ``L`` and ``Y^-1`` (from the test above; the frame of
+    :func:`gsynth.synthesis.verify_constraints` and the blocks of
+    :func:`graph_to_covariance`) and the certificate of
+    :func:`gsynth.structure.decompose` for each tolerance. Equality, ``repr``
+    and ``dataclasses.replace`` see the fields alone, and a replaced graph
+    computes its facts afresh.
     """
 
     X: np.ndarray
@@ -147,17 +160,26 @@ class GraphMatrix:
             raise DimensionError(
                 f"graph matrix parts must be equal square matrices, got {x.shape} and {y.shape}"
             )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not all_finite(x, y):
             raise ValueError("graph matrix has non-finite entries")
         x = symmetrized(x, "real part of graph matrix")
         y = symmetrized(y, "imaginary part of graph matrix")
-        least = least_eigenvalue_unless_above(y, POSDEF_TOL)
-        if least is not None and least <= POSDEF_TOL:
-            raise ValueError("imaginary part of graph matrix must be positive definite")
         x.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
+        try:
+            lower = np.linalg.cholesky(y)
+            y_inv = np.linalg.inv(y)
+        except np.linalg.LinAlgError:
+            certified = False
+        else:
+            certified = bool(y_inv.trace() < 0.5 / POSDEF_TOL)
+            lower.flags.writeable = False
+            y_inv.flags.writeable = False
+            self.__dict__.update(_y_factor=lower, _y_inv=y_inv)
+        if not certified and np.linalg.eigvalsh(y).min() <= POSDEF_TOL:
+            raise ValueError("imaginary part of graph matrix must be positive definite")
 
     @cached_property
     def Z(self) -> NDArray[np.complex128]:
@@ -166,8 +188,16 @@ class GraphMatrix:
         return z
 
     @cached_property
+    def _y_factor(self) -> NDArray[np.float64]:
+        """The lower Cholesky factor ``L`` of ``Y = L L^T``, read-only; construction keeps
+        it, and only a ``Y`` whose factorization failed there computes it here."""
+        lower = np.linalg.cholesky(self.Y)
+        lower.flags.writeable = False
+        return lower
+
+    @cached_property
     def _y_inv(self) -> NDArray[np.float64]:
-        """``Y^-1``, read-only; ``Y`` is positive definite, so it exists."""
+        """``Y^-1``, read-only; construction keeps it, as for :attr:`_y_factor`."""
         y_inv = np.linalg.inv(self.Y)
         y_inv.flags.writeable = False
         return y_inv

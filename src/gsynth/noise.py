@@ -157,7 +157,7 @@ def robustness_report(realization: Realization, channels,
     _require_target_modes(realization, target)
     rows = _channel_rows(channels, realization.n_modes)
     with_metrics = _metrics(
-        lambda: CovarianceMatrix(_coupled_steady_state(realization, rows)[1]))
+        lambda: CovarianceMatrix(_coupled_steady_state(realization, rows)[0]))
     without_metrics = _metrics(lambda: steady_state(build_moment_system(realization.G, rows)))
     distance = None
     if with_metrics is not None:

@@ -50,9 +50,16 @@ _NOT_HURWITZ = "drift matrix is not Hurwitz; the steady-state equation has no un
 
 
 def max_abs(a) -> float:
-    """Max-norm of an array (0.0 for empty input)."""
-    a = np.abs(a)
-    return float(a.max()) if a.size else 0.0
+    """Max-norm of an array (0.0 for empty input; NaN when an entry is NaN)."""
+    return float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
+
+
+def all_finite(*parts) -> bool:
+    """Whether every entry of every array in ``parts`` is finite (one reduction each)."""
+    for part in parts:
+        if not np.logical_and.reduce(np.isfinite(part), axis=None):
+            return False
+    return True
 
 
 #: Smallest tolerance :func:`threshold` applies. A residual within a few
@@ -64,9 +71,10 @@ TOL_FLOOR = 16.0 * np.finfo(float).eps
 def threshold(scale, tol: float = DEFAULT_TOL) -> float:
     """The zero threshold ``tol * max(1, scale)`` for data of max-norm ``scale``.
 
-    ``tol`` below :data:`TOL_FLOOR` counts as ``TOL_FLOOR``; an array of scales gives one
-    threshold each (a NaN scale counts as 1). Every scaled structural test compares its
-    residual with this value. Exceptions, which keep their own arithmetic for now:
+    ``tol`` below :data:`TOL_FLOOR` counts as ``TOL_FLOOR``, and a NaN ``tol`` is a
+    ``ValueError``; an array of scales gives one threshold each (a NaN scale counts as 1).
+    Every scaled structural test compares its residual with this value. Exceptions,
+    which keep their own arithmetic for now:
 
     * ``CovarianceMatrix.is_pure``, ``|det(V) 4**N - 1|`` against
       ``threshold(1, tol)`` or the determinant's rounding floor, whichever
@@ -77,13 +85,26 @@ def threshold(scale, tol: float = DEFAULT_TOL) -> float:
       norms, relative with no floor): ``16 n eps`` to accept the closed-form
       or eigenbasis answer, 1e-10 to refuse scipy's fallback answer.
     """
+    # a NaN tol would make a threshold that no residual exceeds; the max() of the rule is
+    # written as conditionals, as every structural test of an op calls this
+    if tol != tol:
+        raise ValueError("tol must not be NaN")
+    tol = tol if tol >= TOL_FLOOR else TOL_FLOOR
     if isinstance(scale, np.ndarray):
-        return max(tol, TOL_FLOOR) * np.fmax(1.0, scale)
-    return max(tol, TOL_FLOOR) * max(1.0, scale)
+        return tol * np.fmax(1.0, scale)
+    return tol * (scale if scale > 1.0 else 1.0)
 
 
 def symmetrized(m, name: str, tol: float = DEFAULT_TOL) -> np.ndarray:
     """``(m + m.T) / 2``, after checking ``m`` is symmetric under :func:`threshold`.
+
+    Each constructor that holds a symmetric matrix calls this once on it.
+    Exact-form short cut: an ``m`` whose bytes equal its transpose's passes
+    at once, and a copy of it is returned, which is ``(m + m.T) / 2`` bit for
+    bit unless ``2 m`` overflows. Every matrix a design op builds is exact
+    (``X`` and ``Y``, the input, target and steady covariances, ``G`` and
+    ``D``), so only a matrix from outside with a rounding skew, or with a
+    ``-0.0`` facing a ``0.0``, takes the scaled test.
 
     Raises
     ------
@@ -91,6 +112,8 @@ def symmetrized(m, name: str, tol: float = DEFAULT_TOL) -> np.ndarray:
         ``"<name> must be symmetric"`` when ``max|m - m.T|`` exceeds the
         threshold at scale ``max|m|``.
     """
+    if m.tobytes() == m.T.tobytes():
+        return m.copy()
     if max_abs(m - m.T) > threshold(max_abs(m), tol):
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (m + m.T)
@@ -140,7 +163,7 @@ def rank_tol(m, tol: float = DEFAULT_TOL) -> int:
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
-    if not np.all(np.isfinite(m)):
+    if not all_finite(m):
         raise ValueError("array must not contain infs or NaNs")
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > threshold(float(s[0]), tol)))
@@ -173,15 +196,14 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
        coupling pass the eigenbasis of its drift, kept on the design, with
        ``w`` shifted by a uniform bath (see :mod:`gsynth.dynamics`). It is
        used only when ``w`` passes the rule of :func:`is_hurwitz` and the
-       eigenbasis answer below passes :func:`solves_lyapunov` against
-       ``(a, d)``.
+       eigenbasis answer below passes :func:`_accepted` against ``(a, d)``.
     3. Otherwise one ``np.linalg.eig(a) = (w, s)``, or the caller's basis if it
        is that very decomposition (:class:`_OwnBasis`). A spectral abscissa
        not below ``-HURWITZ_TOL``, the rule of :func:`is_hurwitz`, raises
        :class:`NotHurwitzError`. When ``s`` inverts, the equation is
        diagonal in the eigenbasis, ``y_ij = -(s^-1 d s^-H)_ij / (w_i +
        conj(w_j))``, and ``v = Re(s y s^H)``, symmetrized, is returned if
-       it passes :func:`solves_lyapunov`.
+       it passes :func:`_accepted`.
     4. Every other case (a clustered or defective spectrum, a singular or
        ill-conditioned ``s``, a non-finite ``d``) goes to scipy's
        ``solve_continuous_lyapunov`` (Bartels-Stewart), the only code that
@@ -212,43 +234,46 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     if d.shape != a.shape:
         raise DimensionError(f"noise matrix shape {d.shape} does not match {a.shape}")
     d = symmetrized(d, "noise matrix")
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    return _solve_lyapunov(a, d, None)
+    return _solve_lyapunov(a, d, None)[0]
 
 
 class _OwnBasis(tuple):
     """An eigenbasis ``(w, s, s^-1)`` that is ``np.linalg.eig`` of the drift it comes with."""
 
 
-def _solve_lyapunov(a, d, basis) -> NDArray[np.float64]:
+def _solve_lyapunov(a, d, basis) -> tuple[NDArray[np.float64], float]:
     """:func:`solve_lyapunov` with a candidate ``(w, s, s^-1)``, an :class:`_OwnBasis` or
     None, on checked input: float ``a`` and ``d`` of one square shape, ``a`` finite and
-    ``d`` exactly symmetric, as a :class:`~gsynth.dynamics.MomentSystem` holds them."""
+    ``d`` exactly symmetric, as a :class:`~gsynth.dynamics.MomentSystem` holds them.
+
+    Returns ``(v, ||a v + v a.T + d||)`` (Frobenius): every route judges its answer by
+    that residual, so a caller that reports it takes it from here, not afresh."""
     own = isinstance(basis, _OwnBasis)
-    v = _per_mode_lyapunov(a, d) if a.shape[0] % 2 == 0 else None
-    if v is None and basis is not None and not own and basis[0].real.max() < -HURWITZ_TOL:
-        v = _modal_lyapunov(a, d, *basis)
-    if v is None:
+    solved = _per_mode_lyapunov(a, d) if a.shape[0] % 2 == 0 else None
+    if solved is None and basis is not None and not own and basis[0].real.max() < -HURWITZ_TOL:
+        solved = _modal_lyapunov(a, d, *basis)
+    if solved is None:
         w, s, s_inv = basis if own else eigenbasis(a)
         if not w.real.max() < -HURWITZ_TOL:
             raise NotHurwitzError(_NOT_HURWITZ)
-        v = _modal_lyapunov(a, d, w, s, s_inv)
-    if v is not None:
-        return v
+        solved = _modal_lyapunov(a, d, w, s, s_inv)
+    if solved is not None:
+        return solved
     import scipy.linalg
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         v = scipy.linalg.solve_continuous_lyapunov(a, -d)
     v = 0.5 * (v + v.T)
-    residual = np.linalg.norm(a @ v + v @ a.T + d)
+    residual = float(np.linalg.norm(a @ v + v @ a.T + d))
     bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d))
     if residual > bound:
         raise NotHurwitzError(
             f"Lyapunov solve is ill-conditioned (residual {residual:.3e} exceeds {bound:.3e})"
         )
-    return v
+    return v, residual
 
 
 def eigenbasis(a) -> tuple[NDArray[np.complex128], NDArray[np.complex128],
@@ -266,8 +291,9 @@ def eigenbasis(a) -> tuple[NDArray[np.complex128], NDArray[np.complex128],
         return w, s, None
 
 
-def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:
-    """The solution for a system that splits into per-mode 2 x 2 blocks, or None.
+def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The solution and its residual for a system that splits into per-mode 2 x 2 blocks,
+    or None.
 
     For one block ``a`` with trace ``t`` and determinant ``det``,
     Cayley-Hamilton gives the solution of ``a v + v a.T + d = 0`` as
@@ -277,7 +303,7 @@ def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:
     (Routh-Hurwitz), so the verdict needs no eigensolver and uses the same
     guard as :func:`is_hurwitz`. Returns None, to fall back, when the
     system has an inter-mode entry or a non-finite one, or when the answer
-    fails :func:`solves_lyapunov`.
+    fails :func:`_accepted`.
     """
     n = a.shape[0] // 2
     # a per-mode matrix has at most 4 N nonzeros, so a coupled drift is
@@ -290,7 +316,7 @@ def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:
     d_blocks = d.reshape(2, n, 2, n)[:, modes, :, modes]
     if (np.count_nonzero(a_blocks) != np.count_nonzero(a)
             or np.count_nonzero(d_blocks) != np.count_nonzero(d)
-            or not (np.isfinite(a_blocks).all() and np.isfinite(d_blocks).all())):
+            or not all_finite(a_blocks, d_blocks)):
         return None
     a11, a12, a21, a22 = a_blocks.reshape(n, 4).T
     if not np.all((a11 + a22 + 2.0 * HURWITZ_TOL < 0.0)
@@ -306,22 +332,23 @@ def _per_mode_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray | None:
     blocks = -(det * d_blocks + e @ d_blocks @ e.transpose(0, 2, 1)) / (2.0 * trace * det)
     v = np.zeros_like(a)
     v.reshape(2, n, 2, n)[:, modes, :, modes] = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-    return v if solves_lyapunov(a, v, d) else None
+    return _accepted(a, v, d)
 
 
 def _modal_lyapunov(a: np.ndarray, d: np.ndarray, w: np.ndarray, s: np.ndarray,
-                    s_inv: np.ndarray | None) -> NDArray[np.float64] | None:
-    """The solution in the eigenbasis ``a = s diag(w) s^-1``, or None to fall back."""
+                    s_inv: np.ndarray | None) -> tuple[NDArray[np.float64], float] | None:
+    """The solution in the eigenbasis ``a = s diag(w) s^-1`` and its residual, or None to
+    fall back."""
     if s_inv is None:
         return None
     y = (s_inv @ d @ s_inv.conj().T) / -(w[:, None] + w.conj()[None, :])
     v = (s @ y @ s.conj().T).real
     v = 0.5 * (v + v.T)
-    return v if solves_lyapunov(a, v, d) else None
+    return _accepted(a, v, d)
 
 
-def solves_lyapunov(a, v, d) -> bool:
-    """Whether ``v`` solves ``a v + v a.T + d = 0`` to rounding.
+def _accepted(a, v, d) -> tuple[np.ndarray, float] | None:
+    """``(v, ||a v + v a.T + d||)`` when ``v`` solves the equation to rounding, else None.
 
     The relative residual ``||a v + v a.T + d|| / (||a|| ||v|| + ||d||)``
     (Frobenius norms) must be at most ``16 n eps`` for ``n x n`` operands.
@@ -332,9 +359,11 @@ def solves_lyapunov(a, v, d) -> bool:
     the 1e-10 at which scipy's fallback answer is refused. A NaN residual
     fails.
     """
-    residual = np.linalg.norm(a @ v + v @ a.T + d)
-    bound = 16.0 * a.shape[0] * np.finfo(float).eps
-    return bool(residual <= bound * (np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d)))
+    residual = float(np.linalg.norm(a @ v + v @ a.T + d))
+    bound = a.shape[0] * TOL_FLOOR  # 16 n eps
+    if residual <= bound * (np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d)):
+        return v, residual
+    return None
 
 
 # Higham (2005), "The scaling and squaring method for the matrix exponential

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .gaussian import GraphMatrix
-from .numerics import DEFAULT_TOL, Permutation, max_abs, rank_tol, threshold
+from .numerics import DEFAULT_TOL, Permutation, all_finite, max_abs, rank_tol, threshold
 
 LAMBDA = "lambda"
 PI = "pi"
@@ -53,13 +53,13 @@ class BlockClass:
 
     def __post_init__(self):
         block = np.array(self.block, dtype=complex, ndmin=2)
-        size = {LAMBDA: 1, PI: 2, XI_PHI: 2}.get(self.tag)
-        if size is None:
+        size = 1 if self.tag == LAMBDA else 2 if self.tag in (PI, XI_PHI) else 0
+        if not size:
             raise ValueError(f"unknown block tag {self.tag!r}")
         if block.shape != (size, size):
             raise DimensionError(f"{self.tag} block must be {size}x{size}")
         # a decomposition is shared by every caller that asks for it
-        block.flags.writeable = False
+        block.setflags(write=False)
         object.__setattr__(self, "block", block)
 
     @property
@@ -105,43 +105,37 @@ def phi_membership(b, tol: float = DEFAULT_TOL) -> bool:
 
     True when the 2x2 matrix is symmetric with equal diagonal, satisfies
     ``b12**2 = b11**2 + 1`` (within ``tol`` at the matrix scale) and has
-    ``Im(b11) > 0``.
+    ``Im(b11) > 0``. A block with a NaN or infinite entry is no member.
     """
     b = np.asarray(b, dtype=complex)
     if b.shape != (2, 2):
         raise DimensionError(f"membership test needs a 2x2 matrix, got {b.shape}")
-    return bool(_phi_members(b[None], tol)[0])
+    return all_finite(b) and _phi_members(b[None], tol)[0]
 
 
-def _phi_members(stack: np.ndarray, tol: float) -> np.ndarray:
-    """The rule of :func:`phi_membership` on each block of a ``(k, 2, 2)`` stack."""
-    if not len(stack):
-        return np.ones(0, dtype=bool)
-    flat = stack.reshape(-1, 4)
-    b11, b12 = flat[:, 0], flat[:, 1]
-    scale = np.abs(flat).max(axis=1)
-    asym = np.fmax.reduce(np.abs(flat - flat[:, ::-1]), axis=1)  # a NaN residual rejects nothing
-    broken = ((asym > threshold(scale, tol))
-              | (np.abs(b12 ** 2 - b11 ** 2 - 1.0) > threshold(scale ** 2, tol)))
-    return ~broken & (b11.imag > 0.0)
+def _phi_members(stack: np.ndarray, tol: float) -> list[bool]:
+    """The rule of :func:`phi_membership` on each block of a ``(k, 2, 2)`` stack.
 
-
-def _components(linked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(reach, size, pairs)`` of a symmetric boolean adjacency, whose diagonal it sets:
-    row ``j`` of ``reach`` marks node ``j``'s connected component, ``size[j]`` counts
-    it, and ``pairs`` lists the two-node components ``(a, b)``, ``a < b``, by ``a``.
+    numpy's elementwise arithmetic forms the residuals, and one ``abs`` gives, per
+    block, ``|b11|, |b12|, |b21|, |b22|`` (whose max is the scale), ``|b11 - b22|``,
+    ``|b12 - b21|`` and ``|b12**2 - b11**2 - 1|``. The comparisons run on Python
+    floats, as a design has a handful of blocks. A NaN residual passes no test.
     """
-    n = len(linked)
-    reach = linked
-    reach.flat[::n + 1] = True
-    size = reach.sum(axis=1)
-    if size.max() > 2:  # k squarings of the reachability span 2**k hops
-        for _ in range(n.bit_length()):
-            reach = reach.astype(float) @ reach > 0.0
-        size = reach.sum(axis=1)
-    last = n - 1 - reach[:, ::-1].argmax(axis=1)
-    heads = ((last > np.arange(n)) & (size == 2)).nonzero()[0]
-    return reach, size, np.array([heads, last[heads]]).T
+    flat = stack.reshape(-1, 4)
+    parts = np.empty((len(flat), 7), dtype=complex)
+    parts[:, :4] = flat
+    np.subtract(flat[:, :2], flat[:, :1:-1], out=parts[:, 4:6])
+    squares = flat[:, :2] ** 2
+    np.subtract(squares[:, 1], squares[:, 0], out=parts[:, 6])
+    parts[:, 6] -= 1.0
+    members = []
+    for (m11, m12, m21, m22, asym, skew, ident), up in zip(np.abs(parts).tolist(),
+                                                        flat[:, 0].imag.tolist()):
+        scale = max(m11, m12, m21, m22)
+        cut = threshold(scale, tol)
+        members.append(up > 0.0 and asym <= cut and skew <= cut
+                       and ident <= threshold(scale * scale, tol))
+    return members
 
 
 def is_controllable(q, p, tol: float = DEFAULT_TOL) -> bool:
@@ -196,35 +190,39 @@ def _decompose(graph: GraphMatrix, tol: float) -> BlockDecomposition:
     """The classification of :func:`decompose`, made afresh: one mask finds the structural
     zeros, one batched test judges every coupled pair, and the 2 x 2 blocks form one
     ``(k, 2, 2)`` stack, kept on the result for the coupling seed's batched ``eig``.
+
+    The mask's ``nonzero`` lists every link twice, ``(j, k)`` and ``(k, j)``, by ``j``. No
+    mode with two links means every component spans at most two modes: the links with
+    ``j < k`` are the pairs, in mode order, and the modes with none are the lone scalars.
+    Only a mode with two links takes the components' transitive closure (:func:`_wide_refusal`).
     """
     z = graph.Z
     n = graph.n_modes
     mags = np.abs(z)
     diag = mags.diagonal()
     # an exact zero never exceeds its threshold, so it is a structural zero at any tolerance
-    reach, size, pairs = _components(mags > threshold(np.sqrt(np.multiply.outer(diag, diag)), tol))
+    linked = mags > threshold(np.sqrt(diag[:, None] * diag), tol)
+    linked.flat[::n + 1] = False
+    heads, tails = linked.nonzero()
+    # a mode that heads two links, as one of more than n links must, sits in a component
+    # of three or more modes
+    if len(heads) > n or len(set(heads.tolist())) < len(heads):
+        return _refused(n, _wide_refusal(z, linked, tol))
+    up = heads < tails
+    pairs = np.array([heads[up], tails[up]]).T
     stack = z[pairs[:, :, None], pairs[:, None, :]]
     members = _phi_members(stack, tol)
+    pairs = pairs.tolist()
+    if not all(members):
+        return _refused(n, f"2x2 component on modes {tuple(pairs[members.index(False)])} fails"
+                           " the coupled-pair membership test")
 
-    def infeasible(reason: str) -> BlockDecomposition:
-        return BlockDecomposition(n_modes=n, certificate=Certificate(False, reason))
-
-    scalars = (size == 1).nonzero()[0]
-    if 2 * len(pairs) + len(scalars) < n or not members.all():
-        # the failing component with the least mode gives the reason
-        failing = size > 2
-        failing[pairs[~members]] = True
-        comp = tuple(reach[failing.argmax()].nonzero()[0].tolist())
-        return infeasible(
-            f"component size {len(comp)} exceeds 2 (modes {comp})" if len(comp) > 2
-            else f"2x2 component on modes {comp} fails the coupled-pair membership test")
-
-    far = np.abs(z.diagonal()[scalars] - 1j) > threshold(1.0, tol) if len(scalars) else []
-    non_i = scalars[far].tolist()
+    scalars = sorted(set(range(n)).difference(*pairs))
+    far = (np.abs(z.diagonal()[scalars] - 1j) > threshold(1.0, tol)).tolist() if scalars else []
+    non_i = [j for j, off in zip(scalars, far) if off]
     if len(non_i) > 1:
-        return infeasible(f"more than one non-i scalar (modes {tuple(non_i)})")
+        return _refused(n, f"more than one non-i scalar (modes {tuple(non_i)})")
 
-    scalars = scalars.tolist()
     if n % 2 == 1:
         order = [non_i[0] if non_i else scalars[0]]
     elif non_i:
@@ -235,7 +233,7 @@ def _decompose(graph: GraphMatrix, tol: float) -> BlockDecomposition:
     pi = len(order) // 2
     leftover = [j for j in scalars if j not in order]
     loose = order[n % 2:] + leftover
-    order += pairs.ravel().tolist() + leftover
+    order += [j for pair in pairs for j in pair] + leftover
     if loose:
         uncoupled = np.zeros((len(loose) // 2, 2, 2), dtype=complex)
         uncoupled[:, [0, 1], [0, 1]] = z.diagonal()[np.reshape(loose, (-1, 2))]
@@ -247,6 +245,34 @@ def _decompose(graph: GraphMatrix, tol: float) -> BlockDecomposition:
     dec = BlockDecomposition(n, Certificate(True), Permutation(tuple(order)), tuple(blocks))
     dec.__dict__["_block_stack"] = stack
     return dec
+
+
+def _refused(n: int, reason: str) -> BlockDecomposition:
+    return BlockDecomposition(n_modes=n, certificate=Certificate(False, reason))
+
+
+def _wide_refusal(z: np.ndarray, linked: np.ndarray, tol: float) -> str:
+    """The reason for a graph with a component of three or more modes: the failing
+    component (wider than two modes, or a pair outside the family) with the least mode.
+
+    Row ``j`` of the reachability marks node ``j``'s connected component, and a
+    two-node component ``(a, b)``, ``a < b``, is a row of two whose last entry is past it.
+    """
+    n = len(linked)
+    reach = linked
+    reach.flat[::n + 1] = True
+    for _ in range(n.bit_length()):  # k squarings of the reachability span 2**k hops
+        reach = reach.astype(float) @ reach > 0.0
+    size = reach.sum(axis=1)
+    last = n - 1 - reach[:, ::-1].argmax(axis=1)
+    heads = ((last > np.arange(n)) & (size == 2)).nonzero()[0]
+    pairs = np.array([heads, last[heads]]).T
+    members = _phi_members(z[pairs[:, :, None], pairs[:, None, :]], tol)
+    failing = size > 2
+    failing[pairs[[not member for member in members]]] = True
+    comp = tuple(reach[failing.argmax()].nonzero()[0].tolist())
+    return f"component size {len(comp)} exceeds 2 (modes {comp})" if len(comp) > 2 else (
+        f"2x2 component on modes {comp} fails the coupled-pair membership test")
 
 
 def assemble_graph(blocks, permutation: Permutation | None = None) -> GraphMatrix:

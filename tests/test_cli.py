@@ -933,7 +933,8 @@ def test_unphysical_steady_state_is_a_failing_design(tmp_path, capsys, monkeypat
     tms = write_tms(tmp_path)
     design = tmp_path / "design.json"
     unphysical = 0.4 * np.eye(4)
-    monkeypatch.setattr(gsynth.dynamics, "_solve_lyapunov", lambda a, d, basis: unphysical)
+    monkeypatch.setattr(gsynth.dynamics, "_solve_lyapunov", lambda a, d, basis: (
+        unphysical, float(np.linalg.norm(a @ unphysical + unphysical @ a.T + d))))
     error = np.abs(unphysical - states.two_mode_squeezed(0.7).V).max()
     code, out, err = run(capsys, "synthesize", str(tms), "-o", str(design))
     assert code == 0, err

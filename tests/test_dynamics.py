@@ -522,7 +522,8 @@ def test_steady_state_without_positive_determinant_reports_nan_purity(monkeypatc
 
     real = synthesize(GraphMatrix(np.array([[0.3]]), np.array([[0.8]])))
     v = np.diag([1e8, -5e-10])
-    monkeypatch.setattr(gsynth.dynamics, "_solve_lyapunov", lambda a, d, basis: v)
+    monkeypatch.setattr(gsynth.dynamics, "_solve_lyapunov",
+                        lambda a, d, basis: (v, float(np.linalg.norm(a @ v + v @ a.T + d))))
     report = verify_generation(real, graph_to_covariance(real.graph))
     assert report.hurwitz and np.array_equal(report.steady_covariance.V, v)
     assert np.isnan(report.steady_purity)

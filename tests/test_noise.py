@@ -406,7 +406,8 @@ def test_steady_state_without_positive_determinant_has_nan_purity(monkeypatch):
 
     real = synthesize(GraphMatrix(np.array([[0.3]]), np.array([[0.8]])))
     v = np.diag([1e8, -5e-10])
-    monkeypatch.setattr(gsynth.dynamics, "_solve_lyapunov", lambda a, d, basis: v)
+    monkeypatch.setattr(gsynth.dynamics, "_solve_lyapunov",
+                        lambda a, d, basis: (v, float(np.linalg.norm(a @ v + v @ a.T + d))))
     report = robustness_report(real, standard_baths(1), graph_to_covariance(real.graph))
     for metrics in (report.with_coupling, report.without_coupling):
         assert np.array_equal(metrics.covariance.V, v)

@@ -19,7 +19,10 @@ from gsynth import (
     NotHurwitzError,
     Permutation,
     Realization,
+    decompose,
     expm,
+    factor_covariance,
+    graph_to_covariance,
     is_hurwitz,
     phi_membership,
     rank_tol,
@@ -28,7 +31,7 @@ from gsynth import (
     synthesize,
     verify_constraints,
 )
-from gsynth.dynamics import build_moment_system
+from gsynth.dynamics import build_moment_system, verify_generation
 from gsynth.noise import augment
 from gsynth.fileio import load_state_file
 from gsynth.numerics import symmetrized, threshold
@@ -218,7 +221,7 @@ def _fallback_only(monkeypatch):
     """Refuse every closed-form and eigenbasis answer, so each solve runs scipy's."""
     import gsynth.numerics
 
-    monkeypatch.setattr(gsynth.numerics, "solves_lyapunov", lambda a, v, d: False)
+    monkeypatch.setattr(gsynth.numerics, "_accepted", lambda a, v, d: None)
 
 
 def test_solve_lyapunov_trsyl_info(monkeypatch):
@@ -294,9 +297,9 @@ def test_failing_candidate_basis_takes_the_full_route():
     # the right eigenvectors with eigenvalues off by 1e-3, and the right
     # eigenvectors with eigenvalues that are not Hurwitz
     for candidate in ((w - 1e-3, s, s_inv), (w.conj() * -1.0, s, s_inv)):
-        assert np.array_equal(_solve_lyapunov(a, d, candidate), expected)
+        assert np.array_equal(_solve_lyapunov(a, d, candidate)[0], expected)
     # the drift's own basis is route 3's, bit for bit
-    assert np.array_equal(_solve_lyapunov(a, d, (w, s, s_inv)), expected)
+    assert np.array_equal(_solve_lyapunov(a, d, (w, s, s_inv))[0], expected)
     # a Hurwitz candidate cannot make an unstable drift solvable
     unstable = a + 2.0 * max(0.0, -float(w.real.min())) * np.eye(len(a))
     with pytest.raises(NotHurwitzError, match="not Hurwitz"):
@@ -551,3 +554,40 @@ def test_threshold_floor_and_symmetrized():
     assert np.array_equal(s, s.T) and np.abs(s - m).max() <= 1e-12
     with pytest.raises(ValueError, match="^m must be symmetric$"):
         symmetrized(m, "m", tol=1e-14)
+
+
+def test_symmetrized_exact_input_is_copied_bit_for_bit():
+    # an exactly symmetric matrix passes without the scaled test and comes back
+    # as a copy with the bits of (m + m.T) / 2; a -0.0 facing a 0.0 is not exact
+    m = np.array([[1.0, 0.1 + 0.2], [0.1 + 0.2, -3e-300]])
+    s = symmetrized(m, "m", tol=np.nan)
+    assert s.tobytes() == (0.5 * (m + m.T)).tobytes()
+    assert not np.shares_memory(s, m) and m.flags.writeable
+    signed = np.array([[1.0, -0.0], [0.0, 1.0]])
+    assert symmetrized(signed, "m").tobytes() == (0.5 * (signed + signed.T)).tobytes()
+    assert np.signbit(symmetrized(signed, "m")).sum() == 0
+
+
+def test_nan_tolerance_is_refused_everywhere():
+    # threshold keeps tol as given above its floor, and max(nan, floor) is nan, which
+    # no residual exceeds: a dense 3-mode graph read feasible under a NaN tolerance
+    dense = GraphMatrix(np.ones((3, 3)), np.eye(3) + 0.5 * np.ones((3, 3)))
+    assert not decompose(dense).feasible
+    with pytest.raises(ValueError, match="tol must not be NaN"):
+        threshold(1.0, np.nan)
+    with pytest.raises(ValueError, match="tol must not be NaN"):
+        threshold(np.ones(2), float("nan"))
+    graph = tms_graph(0.7)
+    real = synthesize(graph)
+    target = graph_to_covariance(graph)
+    for call in (lambda: decompose(dense, float("nan")),
+                 lambda: decompose(graph, float("nan")),
+                 lambda: synthesize(graph, float("nan")),
+                 lambda: factor_covariance(target, float("nan")),
+                 lambda: verify_constraints(real, float("nan")),
+                 lambda: verify_generation(real, target, tol=float("nan")),
+                 lambda: verify_generation(real, target, constraint_tol=float("nan"))):
+        with pytest.raises(ValueError, match="tol must not be NaN"):
+            call()
+    # the refusals cached nothing: the default tolerance still classifies
+    assert decompose(graph).feasible

@@ -52,6 +52,9 @@ def test_phi_membership_rejects():
     assert not phi_membership(np.array([[1j, 0.5], [0.5, 1j]]))  # coupling identity fails
     assert not phi_membership(np.array([[-1j, 0.0], [0.0, -1j]]))  # wrong half-plane
     assert not phi_membership(np.array([[1j, 1.0], [0.2, 1j]]))  # not symmetric
+    # a non-finite entry: its residuals are NaN or compare with an infinite threshold
+    for bad in ([[np.nan + 1j, 1.0], [1.0, np.nan + 1j]], [[1j, np.inf], [5.0, 1j]]):
+        assert not phi_membership(np.array(bad))
 
 
 def test_xi_membership_examples():
@@ -348,6 +351,26 @@ def test_decompose_rejects_bad_pair_block():
     dec = decompose(GraphMatrix(z.real, z.imag))
     assert not dec.feasible
     assert "membership" in dec.certificate.reason
+
+
+@pytest.mark.parametrize("order", ["pair first", "wide first"])
+def test_refusal_names_the_failing_component_with_the_least_mode(order):
+    # a pair off the family and a three-mode component: whichever holds the
+    # least mode is named, and a lone scalar or a member pair before both is not
+    bad_pair = np.array([[2j, 1.0], [1.0, 2j]])
+    wide = np.array([[1j, 0.3, 0.0], [0.3, 1j, 0.3], [0.0, 0.3, 1j]])
+    member = tms_graph(0.7).Z
+    parts = [member, bad_pair, wide] if order == "pair first" else [member, wide, bad_pair]
+    z = np.zeros((7, 7), dtype=complex)
+    at = 0
+    for part in parts:
+        z[at:at + len(part), at:at + len(part)] = part
+        at += len(part)
+    dec = decompose(GraphMatrix(z.real, z.imag))
+    assert not dec.feasible
+    assert dec.certificate.reason == (
+        "2x2 component on modes (2, 3) fails the coupled-pair membership test"
+        if order == "pair first" else "component size 3 exceeds 2 (modes (2, 3, 4))")
 
 
 def test_decompose_block_count_and_conjugation():

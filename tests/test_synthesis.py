@@ -630,6 +630,24 @@ def test_synthesize_matches_stored_bytes(fixture):
         assert got.tobytes() == expected.tobytes(), (name, np.abs(got - expected).max())
 
 
+@pytest.mark.parametrize("fixture", ["tms", "eight-mode"])
+def test_verify_generation_matches_stored_bytes(fixture):
+    # the steady state, its error, the Lyapunov residual the solve judged and the
+    # purity: the report reuses the solve's residual, and no output bit may move
+    stored = json.loads(STORED_BYTES.read_text())[fixture]["verify_generation"]
+    graph = {"tms": lambda: tms_graph(0.7), "eight-mode": eight_mode_graph}[fixture]()
+    report = verify_generation(synthesize(graph), graph_to_covariance(graph))
+    got = {"steady_covariance": report.steady_covariance.V,
+           "max_error": np.float64(report.max_error),
+           "lyapunov_residual": np.float64(report.lyapunov_residual),
+           "steady_purity": np.float64(report.steady_purity)}
+    assert set(got) == set(stored)
+    for name, value in got.items():
+        want = stored[name]
+        assert (str(value.dtype), list(value.shape)) == (want["dtype"], want["shape"]), name
+        assert value.tobytes().hex() == want["bytes"], (name, value)
+
+
 def test_realization_keeps_read_only_copies_and_one_basis(monkeypatch):
     # a design is immutable, so the eigenbasis of its drift is computed once
     # and kept; a replaced design computes its own
@@ -667,12 +685,17 @@ def test_realization_keeps_read_only_copies_and_one_basis(monkeypatch):
 def test_design_op_computes_each_fact_once(monkeypatch):
     # one feasible design op as the benchmark runs it: factor -> decompose ->
     # synthesize -> graph_to_covariance -> verify_generation
+    import gsynth.dynamics
+    import gsynth.gaussian
+    import gsynth.numerics
     import gsynth.structure
     from gsynth import CovarianceMatrix, Realization
 
     counts = {"classify": 0, "realization": 0}
-    inverted = []
-    classify, post_init, inv = gsynth.structure._decompose, Realization.__post_init__, np.linalg.inv
+    inverted, normed, zero_residues, factored = [], [], [], []
+    classify, post_init = gsynth.structure._decompose, Realization.__post_init__
+    inv, norm, cholesky, max_abs = (np.linalg.inv, np.linalg.norm, np.linalg.cholesky,
+                                    gsynth.numerics.max_abs)
 
     def counted_classify(graph, tol):
         counts["classify"] += 1
@@ -686,18 +709,48 @@ def test_design_op_computes_each_fact_once(monkeypatch):
         inverted.append(np.array(a))
         return inv(a)
 
+    def recorded_norm(x, *args, **kwargs):
+        normed.append(np.array(x))
+        return norm(x, *args, **kwargs)
+
+    def recorded_max_abs(a):
+        # the residual m - m.T, R - diag(R) or Gamma + Gamma.T of a symmetry,
+        # diagonal or antisymmetry test on an array that is already exact
+        a = np.asarray(a)
+        if a.ndim == 2 and a.shape[0] == a.shape[1] > 1 and not a.any():
+            zero_residues.append(a)
+        return max_abs(a)
+
     feasible = random_feasible_graph(np.random.default_rng(12))
     target = CovarianceMatrix(graph_to_covariance(feasible).V)
     monkeypatch.setattr(gsynth.structure, "_decompose", counted_classify)
     monkeypatch.setattr(Realization, "__post_init__", counted_post_init)
     monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+    monkeypatch.setattr(np.linalg, "norm", recorded_norm)
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+    for module in (gsynth.numerics, gsynth.gaussian, gsynth.synthesis, gsynth.dynamics):
+        monkeypatch.setattr(module, "max_abs", recorded_max_abs)
     graph = factor_covariance(target)
     assert decompose(graph).feasible
-    report = verify_generation(synthesize(graph), graph_to_covariance(graph))
+    real = synthesize(graph)
+    report = verify_generation(real, graph_to_covariance(graph))
+    factorizations = len(factored)
     assert report.generates_target and report.constraints.all_ok
     inverses_of_y = sum(a.shape == graph.Y.shape and np.array_equal(a, graph.Y) for a in inverted)
     assert counts == {"classify": 1, "realization": 1}
     assert inverses_of_y == 1
+    # one Lyapunov residual per solve: the report's is the one the solve judged
+    system = build_moment_system(real.G, real.C)
+    v = report.steady_covariance.V
+    residual = system.A @ v + v @ system.A.T + system.D
+    assert sum(np.array_equal(x, residual) for x in normed) == 1
+    assert report.lyapunov_residual == norm(residual)
+    # X, Y, the target and steady covariances, R, Gamma, G and D are exact by
+    # construction: none takes a scaled symmetry, diagonal or antisymmetry test
+    assert zero_residues == []
+    # Y is factored once, for its definiteness and the rank test's frame, and the
+    # target, the diffusion and the steady state once each
+    assert factorizations == 4
 
 
 @pytest.mark.parametrize("alpha", [4.5, 5.0])
