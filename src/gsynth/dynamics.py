@@ -319,7 +319,7 @@ def verify_generation(realization: Realization, target: CovarianceMatrix,
     """
     _require_target_modes(realization, target)
     if extra_rows is None:
-        extra_rows = np.zeros((0, 2 * realization.n_modes))
+        extra_rows = realization.C[:0]
     constraints = verify_constraints(realization, constraint_tol)
     bound = threshold(max_abs(target.V), tol)
     try:

@@ -133,21 +133,19 @@ class GraphMatrix:
     """The complex symmetric label ``Z = X + iY`` of a pure Gaussian state.
 
     ``X`` and ``Y`` are real symmetric N x N matrices and ``Y`` is positive
-    definite (minimum eigenvalue above ``POSDEF_TOL``). ``Y`` is factored
-    once, ``Y = L L^T`` (Cholesky), and inverted once: as ``lambda_min(Y) =
-    1 / lambda_max(Y^-1) >= 1 / trace(Y^-1)``, a factorization that completes
-    with ``trace(Y^-1) < 1 / (2 POSDEF_TOL)`` accepts, and only otherwise does
-    ``eigvalsh`` decide.
+    definite (minimum eigenvalue above ``POSDEF_TOL``). Exact-form short cut:
+    a ``Y`` whose Gershgorin discs all lie above ``POSDEF_TOL``, as every
+    block-structured state's diagonally dominant ``Y`` does, is accepted
+    without a factorization. Otherwise a Cholesky factorization of
+    ``Y - POSDEF_TOL I`` accepts, and only when it fails does ``eigvalsh``
+    decide.
 
     A graph is immutable. It stores its own symmetrized copies of ``X`` and
     ``Y``, read-only, so the caller's arrays stay writable. Facts derived
-    from it are computed once and kept on the instance, read-only: ``Z``,
-    ``L`` and ``Y^-1`` (from the test above; the frame of
-    :func:`gsynth.synthesis.verify_constraints` and the blocks of
-    :func:`graph_to_covariance`) and the certificate of
-    :func:`gsynth.structure.decompose` for each tolerance. Equality, ``repr``
-    and ``dataclasses.replace`` see the fields alone, and a replaced graph
-    computes its facts afresh.
+    from it are computed once and kept on the instance: ``Z`` (read-only
+    too), ``Y^-1`` and the certificate of :func:`gsynth.structure.decompose`
+    for each tolerance. Equality, ``repr`` and ``dataclasses.replace`` see
+    the fields alone, and a replaced graph computes its facts afresh.
     """
 
     X: np.ndarray
@@ -164,22 +162,18 @@ class GraphMatrix:
             raise ValueError("graph matrix has non-finite entries")
         x = symmetrized(x, "real part of graph matrix")
         y = symmetrized(y, "imaginary part of graph matrix")
+        # Gershgorin: every eigenvalue of Y is at least min_i (Y_ii - sum_j!=i |Y_ij|),
+        # here less 16 n eps of the largest absolute row sum for the sums' rounding
+        rows = np.add.reduce(np.abs(y), axis=1)
+        slack = len(y) * TOL_FLOOR * np.maximum.reduce(rows)
+        if not np.minimum.reduce(2.0 * y.diagonal() - rows) > POSDEF_TOL + slack:
+            least = least_eigenvalue_unless_above(y, POSDEF_TOL)
+            if least is not None and least <= POSDEF_TOL:
+                raise ValueError("imaginary part of graph matrix must be positive definite")
         x.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "X", x)
         object.__setattr__(self, "Y", y)
-        try:
-            lower = np.linalg.cholesky(y)
-            y_inv = np.linalg.inv(y)
-        except np.linalg.LinAlgError:
-            certified = False
-        else:
-            certified = bool(y_inv.trace() < 0.5 / POSDEF_TOL)
-            lower.flags.writeable = False
-            y_inv.flags.writeable = False
-            self.__dict__.update(_y_factor=lower, _y_inv=y_inv)
-        if not certified and np.linalg.eigvalsh(y).min() <= POSDEF_TOL:
-            raise ValueError("imaginary part of graph matrix must be positive definite")
 
     @cached_property
     def Z(self) -> NDArray[np.complex128]:
@@ -188,16 +182,8 @@ class GraphMatrix:
         return z
 
     @cached_property
-    def _y_factor(self) -> NDArray[np.float64]:
-        """The lower Cholesky factor ``L`` of ``Y = L L^T``, read-only; construction keeps
-        it, and only a ``Y`` whose factorization failed there computes it here."""
-        lower = np.linalg.cholesky(self.Y)
-        lower.flags.writeable = False
-        return lower
-
-    @cached_property
     def _y_inv(self) -> NDArray[np.float64]:
-        """``Y^-1``, read-only; construction keeps it, as for :attr:`_y_factor`."""
+        """``Y^-1``, read-only; ``Y`` is positive definite, so it exists."""
         y_inv = np.linalg.inv(self.Y)
         y_inv.flags.writeable = False
         return y_inv

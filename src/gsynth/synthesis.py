@@ -292,7 +292,7 @@ def verify_constraints(realization: Realization, tol: float = DEFAULT_TOL) -> Co
         violations.append(f"{realization.n_channels} designed channels present, expected 1")
 
     graph = realization.graph
-    lower = graph._y_factor
+    lower = np.linalg.cholesky(graph.Y)
     lower_inv = lower.T @ graph._y_inv
     omega = lower.T @ realization.R @ lower + 1j * (lower_inv @ realization.Gamma @ lower_inv.T)
     w, u = np.linalg.eigh(omega)

@@ -273,6 +273,23 @@ def test_physicality_verdict_matches_eigvalsh(factor, alpha):
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_diagonally_dominant_posdef_verdict_matches_eigvalsh(factor):
+    # a block-structured state's Y is diagonally dominant, and its Gershgorin
+    # discs decide without a factorization when they clear POSDEF_TOL
+    from gsynth.gaussian import POSDEF_TOL
+
+    b = 1.0 - factor * POSDEF_TOL
+    y = np.array([[1.0, b, 0.0], [b, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    expected = np.linalg.eigvalsh(y).min() > POSDEF_TOL
+    assert expected == (factor > 1.0)
+    if expected:
+        GraphMatrix(np.zeros((3, 3)), y)
+    else:
+        with pytest.raises(ValueError, match="positive definite"):
+            GraphMatrix(np.zeros((3, 3)), y)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_graph_posdef_verdict_matches_eigvalsh(factor):
     from gsynth.gaussian import POSDEF_TOL
 
