@@ -748,8 +748,8 @@ def test_design_op_computes_each_fact_once(monkeypatch):
     # X, Y, the target and steady covariances, R, Gamma, G and D are exact by
     # construction: none takes a scaled symmetry, diagonal or antisymmetry test
     assert zero_residues == []
-    # Y is factored once, for its definiteness and the rank test's frame, and the
-    # target, the diffusion and the steady state once each
+    # Y is factored once, for the rank test's frame (its definiteness passes on its
+    # Gershgorin discs), and the target, the diffusion and the steady state once each
     assert factorizations == 4
 
 
