@@ -53,13 +53,17 @@ class MomentSystem:
     out exactly symmetric on a design's coupling, so its symmetry test is
     the exact-form short cut of :func:`~gsynth.numerics.symmetrized`; one
     with a rounding skew takes the scaled test.
+
+    The system keeps its own copies of ``A`` and ``D``, read-only, so the
+    caller's arrays stay writable and a later write to them does not reach
+    a checked system.
     """
 
     A: np.ndarray
     D: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.A, dtype=float)
+        a = np.array(self.A, dtype=float)
         d = np.asarray(self.D, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
             raise DimensionError(f"drift matrix must be 2N x 2N, got {a.shape}")
@@ -74,6 +78,8 @@ class MomentSystem:
             raise InvalidDiffusionError(
                 f"diffusion matrix must be positive semidefinite (min eigenvalue {least:.3e})"
             )
+        a.flags.writeable = False
+        d.flags.writeable = False
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "D", d)
 
@@ -160,12 +166,16 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
     ``V <- Phi V Phi.T + Q`` with ``Phi = exp(A h)`` and
     ``Q = int_0^h exp(A s) D exp(A.T s) ds``. Both come from one Van Loan
     block exponential, so the propagation is exact for unstable drift too.
-    The first sample is one step from ``t = 0``. On a uniform grid (every
+    The first sample is one step from ``t = 0``; at ``t = 0`` it is ``v0``
+    and ``mean0`` as given, with no step. On a uniform grid (every
     ``times[k]`` within a few ulps of ``times[0] + k h``, as from
     ``np.linspace``) the rest take one step for ``h`` and then
-    ``log2(m)`` doublings: the samples filled so far are advanced as one
-    batch by the current pair, which is then squared,
-    ``(Phi, Q) <- (Phi Phi, Phi Q Phi.T + Q)``. The flows of one drift
+    ``log2(m)`` doublings: each round advances the samples filled so far in
+    place, ``V[f:f+c] = Phi (V[:c] Phi.T) + Q`` in two stacked products and
+    one add, and then squares the pair,
+    ``(Phi, Q) <- (Phi Phi, Phi Q Phi.T + Q)``. The stack is symmetrized
+    once at the end, so every covariance is exactly symmetric. A zero mean
+    is not propagated: its samples stay exact zeros. The flows of one drift
     commute, so this is as accurate as stepping sample by sample. An
     irregular grid takes one step per gap. A ``v0`` with another mode
     count than the system raises :class:`~gsynth.errors.DimensionError`.
@@ -207,28 +217,37 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
             covs.append(v)
         return Trajectory(times=times, means=np.stack(means), covariances=np.stack(covs))
 
-    means = np.empty((m, n2))
+    moving = mean.any()
+    means = np.zeros((m, n2))
     covs = np.empty((m, n2, n2))
-    phi, q = step(times[0])
-    means[0] = phi @ mean
-    v = phi @ v0.V @ phi.T + q
-    covs[0] = 0.5 * (v + v.T)
+    if times[0] == 0.0:
+        means[0] = mean
+        covs[0] = v0.V
+    else:
+        phi, q = step(times[0])
+        if moving:
+            means[0] = phi @ mean
+        covs[0] = phi @ v0.V @ phi.T + q
     filled = 1
     if m > 1:
         phi, q = step(h)
     while filled < m:
         cnt = min(filled, m - filled)
-        # one matrix product each over the stacked batch: W = V Phi.T, then
-        # W.T Phi.T = (Phi V Phi.T).T, which the symmetrization below absorbs
+        batch = covs[filled:filled + cnt]
+        # V Phi.T for the whole batch in one product, then Phi (V Phi.T)
+        # written in place; the stack is symmetrized once, below
         w = (covs[:cnt].reshape(-1, n2) @ phi.T).reshape(cnt, n2, n2)
-        v = (w.transpose(0, 2, 1).reshape(-1, n2) @ phi.T).reshape(cnt, n2, n2) + q
-        covs[filled:filled + cnt] = 0.5 * (v + v.transpose(0, 2, 1))
-        means[filled:filled + cnt] = means[:cnt] @ phi.T
+        np.matmul(phi, w, out=batch)
+        batch += q
+        if moving:
+            np.matmul(means[:cnt], phi.T, out=means[filled:filled + cnt])
         filled += cnt
         # squaring past the last sample is wasted and can overflow an unstable drift
         if filled < m:
             q = phi @ q @ phi.T + q
             phi = phi @ phi
+    covs += covs.transpose(0, 2, 1)
+    covs *= 0.5
     return Trajectory(times=times, means=means, covariances=covs)
 
 

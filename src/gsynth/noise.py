@@ -5,9 +5,10 @@ to a mode through two separate rows, one lowering with amplitude
 ``sqrt(gamma (nbar + 1))`` and one raising with amplitude
 ``sqrt(gamma nbar)``; they are never merged into one effective channel.
 These rows are parasitic: the single-channel constraint counts only the
-designed coupling. :func:`channel_row` is the one place a channel becomes
-moment-equation terms: :func:`augment` and :func:`robustness_report` stack
-the rows under ``C`` and call ``build_moment_system``, as ``verify`` and
+designed coupling. One block builder, whose one-row case is
+:func:`channel_row`, is the one place a channel becomes moment-equation
+terms: :func:`augment` and :func:`robustness_report` stack its rows under
+``C`` and call ``build_moment_system``, as ``verify`` and
 ``simulate`` do with a file's ``C_noise``. A row touches only its own
 mode's ``(q_j, p_j)``, so a passive diagonal Hamiltonian under thermal
 rows alone still splits into per-mode blocks solved in closed form.
@@ -60,15 +61,10 @@ def channel_row(channel: NoiseChannel, n_modes: int) -> NDArray[np.complex128]:
     """Coupling row of a thermal channel over ``(q_1..q_N, p_1..p_N)``.
 
     With ``a_j = (q_j + i p_j) / sqrt(2)``, a lowering channel couples to
-    ``a_j`` and a raising channel to its adjoint.
+    ``a_j`` and a raising channel to its adjoint. The one-row case of
+    :func:`_channel_rows`.
     """
-    if channel.mode >= n_modes:
-        raise IndexError(f"mode index {channel.mode} out of range for {n_modes} modes")
-    row = np.zeros(2 * n_modes, dtype=complex)
-    half = channel.amplitude / math.sqrt(2.0)
-    row[channel.mode] = half
-    row[n_modes + channel.mode] = (1j if channel.kind == LOWERING else -1j) * half
-    return row
+    return _channel_rows([channel], n_modes)[0]
 
 
 def bath_channels(mode: int, gamma: float, nbar: float) -> tuple[NoiseChannel, NoiseChannel]:
@@ -92,9 +88,26 @@ def augment(realization: Realization, channels) -> MomentSystem:
 
 
 def _channel_rows(channels, n_modes: int) -> NDArray[np.complex128]:
-    """The channels' :func:`channel_row` rows as one ``(len(channels), 2 N)`` block."""
-    return np.array([channel_row(ch, n_modes) for ch in channels],
-                    dtype=complex).reshape(-1, 2 * n_modes)
+    """The channels' coupling rows as one ``(len(channels), 2 N)`` block.
+
+    Row ``k`` holds ``h = amplitude / sqrt(2)`` at ``q_j`` and ``+i h``
+    (lowering) or ``-i h`` (raising) at ``p_j`` for channel ``k`` on mode
+    ``j``; every entry is written into a zero block by one assignment.
+    Raises ``IndexError`` naming the first channel whose mode is not among
+    the ``n_modes``.
+    """
+    channels = list(channels)
+    outside = [ch.mode for ch in channels if ch.mode >= n_modes]
+    if outside:
+        raise IndexError(f"mode index {outside[0]} out of range for {n_modes} modes")
+    width = 2 * n_modes
+    root2 = math.sqrt(2.0)
+    half = [ch.amplitude / root2 for ch in channels]
+    at = [k * width + ch.mode for k, ch in enumerate(channels)]
+    rows = np.zeros((len(channels), width), dtype=complex)
+    rows.reshape(-1)[at + [a + n_modes for a in at]] = half + [
+        (1j if ch.kind == LOWERING else -1j) * h for ch, h in zip(channels, half)]
+    return rows
 
 
 @dataclass(frozen=True)

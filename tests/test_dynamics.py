@@ -246,38 +246,59 @@ def test_evolve_validates_times():
 
 
 def _systems(n, rng):
-    """Designed, thermal and dissipator-off systems of one random n-mode design."""
+    """Designed, thermal, dissipator-off and unstable systems of one random n-mode design.
+
+    The unstable one keeps the design's ``G`` under raising rows alone, so
+    every mode grows like ``exp(gamma nbar t / 2)``.
+    """
+    from gsynth.noise import RAISING, NoiseChannel, _channel_rows
+
     blocks = [BlockClass(XI_PHI, random_phi_block(rng)) for _ in range(n // 2)]
     if n % 2:
         blocks.append(BlockClass(LAMBDA, random_lambda_scalar(rng)))
     graph = assemble_graph(blocks, Permutation(tuple(int(k) for k in rng.permutation(n))))
     real = synthesize(graph)
     vacuum = states.vacuum(n)
+    raising = _channel_rows([NoiseChannel(mode=j, gamma=0.2, nbar=1.0, kind=RAISING)
+                             for j in range(n)], n)
     return [(build_moment_system(real.G, real.C), vacuum),
             (augment(real, standard_baths(n)), vacuum),
-            (build_moment_system(real.G, np.zeros((1, 2 * n))), graph_to_covariance(graph))]
+            (build_moment_system(real.G, np.zeros((1, 2 * n))), graph_to_covariance(graph)),
+            (build_moment_system(real.G, raising), vacuum)]
 
 
 def _rel_error(actual, reference):
     return np.abs(actual - reference).max() / np.abs(reference).max()
 
 
+# starts at and above 0; 1, 2, 3, 64, 65, 121, 129 and 201 samples; a zero spacing
 UNIFORM_GRIDS = [np.linspace(0.0, 60.0, 121), np.linspace(0.0, 10.0, 201),
-                 np.linspace(2.5, 7.5, 11), [0.0], [3.0], [0.0, 0.0, 0.0]]
+                 np.linspace(0.0, 6.0, 121), np.linspace(2.5, 7.5, 11), [0.0], [3.0],
+                 [0.0, 0.0, 0.0], np.linspace(0.0, 1.5, 2), np.linspace(0.7, 2.0, 3),
+                 np.linspace(0.0, 30.0, 64), np.linspace(1.25, 40.0, 65),
+                 np.linspace(0.0, 12.0, 129)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_evolve_uniform_grid_matches_per_gap_reference(n):
     rng = np.random.default_rng(100 + n)
     for system, v0 in _systems(n, rng):
-        mean0 = rng.normal(size=2 * n)
-        for times in UNIFORM_GRIDS:
-            traj = evolve(system, v0, times, mean0=mean0)
-            ref = evolve_per_gap(system, v0, times, mean0=mean0)
-            assert_allclose(traj.times, ref.times, rtol=0, atol=0)
-            assert _rel_error(traj.covariances, ref.covariances) <= 1e-12
-            assert _rel_error(traj.means, ref.means) <= 1e-12
-            assert np.all(traj.covariances == traj.covariances.transpose(0, 2, 1))
+        for mean0 in (None, np.zeros(2 * n), rng.normal(size=2 * n)):
+            for times in UNIFORM_GRIDS:
+                traj = evolve(system, v0, times, mean0=mean0)
+                ref = evolve_per_gap(system, v0, times, mean0=mean0)
+                assert_allclose(traj.times, ref.times, rtol=0, atol=0)
+                assert np.all(np.isfinite(traj.covariances))
+                assert _rel_error(traj.covariances, ref.covariances) <= 1e-12
+                assert np.all(traj.covariances == traj.covariances.transpose(0, 2, 1))
+                if mean0 is None or not mean0.any():
+                    # a zero mean is not propagated: it stays exact zeros
+                    assert not traj.means.any()
+                else:
+                    assert _rel_error(traj.means, ref.means) <= 1e-12
+                if times[0] == 0.0:
+                    # no step to a first sample at t = 0: it is the start state
+                    assert traj.covariances[0].tobytes() == v0.V.tobytes()
 
 
 def test_evolve_irregular_grid_is_per_gap_reference_bitwise():
@@ -296,10 +317,12 @@ def test_evolve_irregular_grid_is_per_gap_reference_bitwise():
                 assert traj.means.tobytes() == ref.means.tobytes()
 
 
-@pytest.mark.parametrize("times", [np.linspace(0.0, 6.0, 121), np.linspace(0.0, 10.0, 201)])
-def test_evolve_uniform_grid_takes_two_van_loan_steps(monkeypatch, times):
-    # one step from t = 0 to the first sample and one for the spacing; the
-    # per-gap propagator takes 9 and 10 steps on these grids
+@pytest.mark.parametrize("times", [np.linspace(0.0, 6.0, 121), np.linspace(0.0, 10.0, 201),
+                                   np.linspace(2.5, 7.5, 11), np.linspace(1.25, 40.0, 65)])
+def test_evolve_uniform_grid_takes_one_van_loan_step_per_spacing(monkeypatch, times):
+    # one step for the spacing, and one from t = 0 to a first sample above 0
+    # (a first sample at t = 0 is the start state, with no step); the per-gap
+    # propagator takes 9 and 10 steps on the first two grids
     import gsynth.dynamics as dyn
 
     calls = []
@@ -307,7 +330,7 @@ def test_evolve_uniform_grid_takes_two_van_loan_steps(monkeypatch, times):
     monkeypatch.setattr(dyn, "_van_loan_step", lambda system, h: calls.append(h) or step(system, h))
     real = tms_realization(0.7)
     evolve(build_moment_system(real.G, real.C), states.vacuum(2), times)
-    assert len(calls) == 2
+    assert len(calls) == (1 if times[0] == 0.0 else 2)
 
 
 def test_verify_generation_roundtrip():
@@ -488,6 +511,26 @@ def test_moment_system_rejects_non_finite_entries():
         MomentSystem(A=-np.eye(2), D=np.diag([np.nan, 1.0]))
     with pytest.raises(ValueError, match="non-finite"):
         MomentSystem(A=np.diag([-1.0, np.inf]), D=np.eye(2))
+
+
+def test_moment_system_keeps_its_own_read_only_arrays():
+    from gsynth import MomentSystem
+
+    a, d = -np.eye(2), np.eye(2)
+    m = MomentSystem(A=a, D=d)
+    a[0, 0] = 5.0
+    d[0, 0] = 7.0
+    assert m.A[0, 0] == -1.0 and m.D[0, 0] == 1.0
+    for part in (m.A, m.D):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0, 0] = 3.0
+    # the caller's arrays stay writable, and every consumer only reads
+    real = tms_realization(0.7)
+    ms = build_moment_system(real.G, real.C)
+    assert not (ms.A.flags.writeable or ms.D.flags.writeable)
+    steady_state(ms)
+    evolve(ms, states.vacuum(2), np.linspace(0.0, 6.0, 121), mean0=np.ones(4))
+    evolve(ms, states.vacuum(2), [0.0, 0.4, 1.0, 7.5])
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])

@@ -24,7 +24,7 @@ from gsynth import (
     verify_generation,
 )
 from gsynth.errors import InvalidCovarianceError, NotHurwitzError
-from gsynth.noise import LOWERING, RAISING, NoiseChannel
+from gsynth.noise import LOWERING, RAISING, NoiseChannel, _channel_rows
 from gsynth.structure import LAMBDA, XI_PHI
 from conftest import (
     THERMAL_GAMMA,
@@ -64,8 +64,12 @@ def test_channel_row_zero_rate():
 
 
 def test_channel_row_range_check():
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="mode index 2 out of range for 2 modes"):
         channel_row(NoiseChannel(mode=2, gamma=0.1, nbar=0.0, kind=LOWERING), 2)
+    # the batch names the first channel outside the modes
+    channels = [NoiseChannel(mode=m, gamma=0.1, nbar=0.0, kind=RAISING) for m in (1, 3, 2)]
+    with pytest.raises(IndexError, match="mode index 3 out of range for 2 modes"):
+        _channel_rows(channels, 2)
 
 
 def test_channel_validation():
@@ -82,6 +86,21 @@ def test_bath_is_two_rows():
     assert (up.kind, down.kind) == (RAISING, LOWERING)
     assert up.amplitude == pytest.approx(np.sqrt(0.2 * 1.5))
     assert down.amplitude == pytest.approx(np.sqrt(0.2 * 2.5))
+    # the batch is the per-channel rows, bit for bit: both kinds, nbar = 0,
+    # a zero rate and several channels on one mode
+    channels = [ch for m, gamma, nbar in [(2, 0.2, 1.5), (0, 0.01, 0.0), (1, 0.0, 3.0),
+                                          (2, 7.0, 0.0), (0, 0.3, 10.0)]
+                for ch in bath_channels(m, gamma, nbar)]
+    n = 3
+    reference = np.zeros((len(channels), 2 * n), dtype=complex)
+    for row, ch in zip(reference, channels):
+        half = ch.amplitude / np.sqrt(2.0)
+        row[ch.mode] = half
+        row[n + ch.mode] = (1j if ch.kind == LOWERING else -1j) * half
+    rows = _channel_rows(channels, n)
+    assert rows.tobytes() == reference.tobytes()
+    assert np.vstack([channel_row(ch, n) for ch in channels]).tobytes() == reference.tobytes()
+    assert _channel_rows([], n).shape == (0, 2 * n)
 
 
 def test_augment_no_channels_is_identity():
