@@ -174,11 +174,12 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
     place, ``V[f:f+c] = Phi (V[:c] Phi.T) + Q`` in two stacked products and
     one add, and then squares the pair,
     ``(Phi, Q) <- (Phi Phi, Phi Q Phi.T + Q)``. The stack is symmetrized
-    once at the end, so every covariance is exactly symmetric. A zero mean
-    is not propagated: its samples stay exact zeros. The flows of one drift
-    commute, so this is as accurate as stepping sample by sample. An
-    irregular grid takes one step per gap. A ``v0`` with another mode
-    count than the system raises :class:`~gsynth.errors.DimensionError`.
+    once at the end, so every covariance is exactly symmetric. The flows of
+    one drift commute, so this is as accurate as stepping sample by sample.
+    An irregular grid takes one step per gap. On either grid a zero mean is
+    not propagated: its samples stay exact zeros, even where the propagator
+    overflows. A ``v0`` with another mode count than the system raises
+    :class:`~gsynth.errors.DimensionError`.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -193,6 +194,7 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
     mean = np.zeros(n2) if mean0 is None else np.asarray(mean0, dtype=float)
     if mean.shape != (n2,):
         raise DimensionError(f"initial mean must have length {n2}")
+    moving = mean.any()
 
     steps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -210,14 +212,14 @@ def evolve(system: MomentSystem, v0: CovarianceMatrix, times, mean0=None) -> Tra
         means, covs = [], []
         for gap in np.diff(times, prepend=0.0):
             phi, q = step(gap)
-            mean = phi @ mean
+            if moving:
+                mean = phi @ mean
             v = phi @ v @ phi.T + q
             v = 0.5 * (v + v.T)
             means.append(mean)
             covs.append(v)
         return Trajectory(times=times, means=np.stack(means), covariances=np.stack(covs))
 
-    moving = mean.any()
     means = np.zeros((m, n2))
     covs = np.empty((m, n2, n2))
     if times[0] == 0.0:

@@ -43,11 +43,6 @@ class UnsupportedBipartitionError(GsynthError):
     one mode against one mode."""
 
 
-class InvalidRError(GsynthError):
-    """The diagonal frequency matrix is inconsistent with the target graph
-    matrix (the quadratic consistency identity fails)."""
-
-
 class InfeasibleStateError(GsynthError):
     """The target state cannot be prepared under the structural constraints.
 

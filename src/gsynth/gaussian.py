@@ -69,7 +69,8 @@ class CovarianceMatrix:
     a strongly squeezed covariance's entries as their rounding does. A
     Cholesky factorization of the shifted matrix accepts; only when it
     fails does ``eigvalsh`` decide and word the rejection. The stored
-    matrix is exactly symmetrized.
+    matrix is the instance's own copy, exactly symmetrized and read-only,
+    so the caller's array stays writable.
     """
 
     V: np.ndarray
@@ -91,6 +92,7 @@ class CovarianceMatrix:
             raise InvalidCovarianceError(
                 f"uncertainty relation violated (min eigenvalue {least:.3e})"
             )
+        v.flags.writeable = False
         object.__setattr__(self, "V", v)
 
     @property

@@ -7,9 +7,7 @@ scipy's Bartels-Stewart), matrix exponentials and permutation bookkeeping.
 A design keeps the eigenbasis of its drift, and a uniform thermal bath only
 shifts that drift's eigenvalues, so a design's thermal solves take no
 eigendecomposition of their own. All functions are pure and safe to call
-concurrently, save that the fallback of :func:`solve_lyapunov` silences a
-scipy warning through ``warnings.catch_warnings``, which changes
-process-wide filter state.
+concurrently.
 
 Only the fallback of :func:`solve_lyapunov` needs scipy, and it imports
 ``scipy.linalg`` when it runs. The Hurwitz verdict, the closed-form and
@@ -32,7 +30,6 @@ that do not follow the rule yet are listed in :func:`threshold`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,12 +202,14 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
        conj(w_j))``, and ``v = Re(s y s^H)``, symmetrized, is returned if
        it passes :func:`_accepted`.
     4. Every other case (a clustered or defective spectrum, a singular or
-       ill-conditioned ``s``, a non-finite ``d``) goes to scipy's
-       ``solve_continuous_lyapunov`` (Bartels-Stewart), the only code that
-       imports ``scipy.linalg``. Its answer is symmetrized and refused
-       when its relative residual exceeds 1e-10. scipy warns when its
-       triangular solve perturbs a near-zero eigenvalue sum; that warning
-       is silenced and the residual decides.
+       ill-conditioned ``s``) takes Bartels-Stewart as scipy's
+       ``solve_continuous_lyapunov`` does, the only code that imports
+       ``scipy.linalg``: the real Schur form ``a = u r u.T``, then LAPACK's
+       ``dtrsyl`` on ``r`` and ``u.T (-d) u``. Its answer is scipy's, bit
+       for bit, symmetrized. It is refused when trsyl reports ``info != 0``,
+       having perturbed a near-zero eigenvalue sum to finish, or a scale
+       below 1, having shrunk the equation because the solution would
+       overflow, and when its relative residual exceeds 1e-10.
 
     The first three use numpy alone, so a non-Hurwitz drift is refused
     without loading scipy, and every "not Hurwitz" verdict comes from the
@@ -223,11 +222,11 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     numpy.linalg.LinAlgError
         If ``a`` has a NaN or infinite entry.
     ValueError
-        If ``d`` is not symmetric or, for a Hurwitz ``a``, has a NaN or
-        infinite entry.
+        If ``d`` is not symmetric or has a NaN or infinite entry.
     NotHurwitzError
         If ``a`` is not Hurwitz, in which case the equation has no unique
-        stabilizing solution, or if the solution fails the residual check.
+        stabilizing solution, or if the solution fails the residual check
+        or route 4's trsyl had to perturb or scale the equation.
     """
     a = _require_square(np.asarray(a, dtype=float), "drift matrix")
     d = np.asarray(d, dtype=float)
@@ -236,6 +235,8 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     d = symmetrized(d, "noise matrix")
     if not all_finite(a):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    if not all_finite(d):
+        raise ValueError("noise matrix must not contain infs or NaNs")
     return _solve_lyapunov(a, d, None)[0]
 
 
@@ -263,9 +264,17 @@ def _solve_lyapunov(a, d, basis) -> tuple[NDArray[np.float64], float]:
         return solved
     import scipy.linalg
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        v = scipy.linalg.solve_continuous_lyapunov(a, -d)
+    # scipy's solve_continuous_lyapunov(a, -d), step for step, reading trsyl's info
+    r, u = scipy.linalg.schur(a, output="real")
+    f = u.conj().T.dot((-d).dot(u))
+    y, scale, info = scipy.linalg.lapack.dtrsyl(r, r, f, tranb="T")
+    # info 1: trsyl perturbed a near-zero eigenvalue sum; scale < 1: it shrank the
+    # right-hand side, as the solution would overflow
+    if info != 0 or scale != 1.0:
+        raise NotHurwitzError(
+            f"Lyapunov solve is ill-conditioned (trsyl info {info}, scale {scale:.3e})"
+        )
+    v = u.dot(y).dot(u.conj().T)
     v = 0.5 * (v + v.T)
     residual = float(np.linalg.norm(a @ v + v @ a.T + d))
     bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d))
@@ -443,9 +452,9 @@ def _pade(a: np.ndarray, m: int) -> np.ndarray:
 class Permutation:
     """A bijection on ``{0, ..., n-1}`` acting on matrix indices.
 
-    ``image[s]`` is the source index placed at slot ``s``, so the matrix
-    form ``P`` has ``P[s, image[s]] = 1`` and conjugation reorders a
-    matrix as ``(P @ m @ P.T)[s, t] == m[image[s], image[t]]``.
+    ``image[s]`` is the source index placed at slot ``s``: with ``P[s,
+    image[s]] = 1``, conjugation reorders a matrix as ``(P @ m @ P.T)[s, t]
+    == m[image[s], image[t]]``.
     """
 
     image: tuple[int, ...]
@@ -458,10 +467,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.image)
-
-    @property
-    def matrix(self) -> NDArray[np.float64]:
-        return np.eye(self.n)[list(self.image)]
 
     def inverse(self) -> "Permutation":
         return Permutation(tuple(int(k) for k in np.argsort(self.image)))

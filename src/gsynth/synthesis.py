@@ -22,7 +22,6 @@ from numpy.typing import NDArray
 from .errors import (
     DimensionError,
     InfeasibleStateError,
-    InvalidRError,
     SingularMatrixError,
 )
 from .gaussian import GraphMatrix
@@ -145,21 +144,6 @@ def build_R(dec: BlockDecomposition) -> NDArray[np.float64]:
     r = np.zeros((n, n))
     r[slots, slots] = r_b.ravel()
     return r
-
-
-def build_Gamma(graph: GraphMatrix, r, tol: float = DEFAULT_TOL) -> NDArray[np.float64]:
-    """The antisymmetric parameter ``Gamma = X R Y`` for a caller's ``R``.
-
-    Requires ``-Z R Z = R`` at the products' rounding scale
-    ``threshold(max(|R|, |Z|**2 |R|), tol)``, which bounds ``Gamma + Gamma.T =
-    Im(Z R Z + R)`` too; :func:`synthesize` applies the formula alone.
-    """
-    r = np.asarray(r, dtype=float)
-    z = graph.Z
-    r_scale = max_abs(r)
-    if max_abs(-z @ r @ z - r) > threshold(max(r_scale, max_abs(z) ** 2 * r_scale), tol):
-        raise InvalidRError("-Z R Z = R fails; R is not consistent with this graph matrix")
-    return _gamma(graph, r)
 
 
 def _gamma(graph: GraphMatrix, r: np.ndarray) -> NDArray[np.float64]:

@@ -340,11 +340,13 @@ def evolve_per_gap(system, v0, times, mean0=None) -> Trajectory:
     """One Van Loan step per gap between samples (the first from ``t = 0``).
 
     Steps are cached per distinct gap, keyed on the exact float, so a
-    ``np.linspace`` grid takes one step per ulp-distinct gap.
+    ``np.linspace`` grid takes one step per ulp-distinct gap. A zero mean
+    is not propagated, as in :func:`~gsynth.dynamics.evolve`.
     """
     times = np.asarray(times, dtype=float)
     n2 = system.A.shape[0]
     mean = np.zeros(n2) if mean0 is None else np.asarray(mean0, dtype=float)
+    moving = mean.any()
 
     steps: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     v = v0.V
@@ -353,7 +355,8 @@ def evolve_per_gap(system, v0, times, mean0=None) -> Trajectory:
         if h not in steps:
             steps[h] = _van_loan_step(system, h)
         phi, q = steps[h]
-        mean = phi @ mean
+        if moving:
+            mean = phi @ mean
         v = phi @ v @ phi.T + q
         v = 0.5 * (v + v.T)
         means.append(mean)

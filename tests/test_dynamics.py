@@ -315,6 +315,19 @@ def test_evolve_irregular_grid_is_per_gap_reference_bitwise():
                 ref = evolve_per_gap(system, v0, times, mean0=mean0)
                 assert traj.covariances.tobytes() == ref.covariances.tobytes()
                 assert traj.means.tobytes() == ref.means.tobytes()
+    # one raising channel on a mode with G = 0 overflows by t = 2000: a zero
+    # mean stays exact zeros where the propagator is inf or NaN
+    from gsynth.noise import RAISING, NoiseChannel, channel_row
+
+    raising = channel_row(NoiseChannel(mode=0, gamma=2.0, nbar=1.0, kind=RAISING), 1)
+    system = build_moment_system(np.zeros((2, 2)), raising)
+    times = [0.0, 10.0, 2000.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = evolve(system, states.vacuum(1), times)
+        ref = evolve_per_gap(system, states.vacuum(1), times)
+    assert traj.covariances.tobytes() == ref.covariances.tobytes()
+    assert traj.means.tobytes() == ref.means.tobytes()
+    assert not traj.means.any()
 
 
 @pytest.mark.parametrize("times", [np.linspace(0.0, 6.0, 121), np.linspace(0.0, 10.0, 201),

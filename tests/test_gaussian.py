@@ -71,6 +71,17 @@ def test_graph_matrix_is_immutable_and_leaves_inputs_writable():
     assert moved.Z.tobytes() == (1j * graph.Y).tobytes()
 
 
+def test_covariance_keeps_a_read_only_copy():
+    # a checked covariance cannot be written into; the caller's array stays writable
+    given = 0.5 * np.eye(2)
+    cov = CovarianceMatrix(given)
+    assert given.flags.writeable and not np.shares_memory(given, cov.V)
+    for v in (cov.V, graph_to_covariance(GraphMatrix.vacuum(1)).V):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = -1.0
+    assert cov.is_pure()
+
+
 def test_covariance_rejects_unphysical():
     with pytest.raises(InvalidCovarianceError):
         CovarianceMatrix(0.1 * np.eye(2))

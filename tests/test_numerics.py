@@ -155,12 +155,18 @@ def test_solve_lyapunov_rejects_shapes():
 
 
 def test_solve_lyapunov_rejects_non_finite_drift():
-    # a NaN or infinite drift is refused before any solve, with numpy's error
+    # a NaN or infinite drift is refused before any solve, with numpy's error,
+    # and a NaN or infinite noise matrix with a ValueError, on every route
     for bad in (np.nan, np.inf, -np.inf):
         a = -np.eye(3)
         a[1, 2] = bad
         with pytest.raises(np.linalg.LinAlgError, match="Array must not contain infs or NaNs"):
             solve_lyapunov(a, np.eye(3))
+        for n in (2, 3):
+            d = np.eye(n)
+            d[0, 0] = bad
+            with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+                solve_lyapunov(-np.eye(n), d)
 
 
 def test_solve_lyapunov_takes_one_spectrum(monkeypatch):
@@ -174,7 +180,7 @@ def test_solve_lyapunov_takes_one_spectrum(monkeypatch):
     for name in ("is_hurwitz", "spectral_abscissa"):
         monkeypatch.setattr(gsynth.numerics, name, forbidden)
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", forbidden)
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", forbidden)
     calls = []
     real_eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(1) or real_eig(a))
@@ -225,23 +231,33 @@ def _fallback_only(monkeypatch):
 
 
 def test_solve_lyapunov_trsyl_info(monkeypatch):
-    # scipy warns when ?trsyl perturbs a near-zero eigenvalue sum (info 1);
-    # solve_lyapunov stays silent and its residual check decides
+    # ?trsyl perturbs a near-zero eigenvalue sum to finish (info 1) and scipy
+    # warns and returns v11 = -4.5e20; the exact v11 is 1.6666666668283333e21
     a, d = np.array([[-3e-12, 1e5], [0.0, -1.0]]), np.eye(2)
     with pytest.warns(RuntimeWarning, match="eigenvalue pair"):
-        expected = _scipy_lyapunov(a, d)
+        assert _scipy_lyapunov(a, d)[0, 0] < 0.0
+    # one mode's block: the closed form, correctly rounded
+    assert solve_lyapunov(a, d)[0, 0] == 1.6666666668283333e21
+    # v11 = 5e310 overflows, so trsyl solves the equation scaled by 1e-300;
+    # scipy's v11 = 5e-290 passes a residual gate whose norms are inf
+    big_a, big_d = np.diag([-1e-11, -1.0, -2.0]), np.diag([1e300, 1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _scipy_lyapunov(big_a, big_d)[0, 0] < 1.0
+        with pytest.raises(NotHurwitzError, match="ill-conditioned"):
+            solve_lyapunov(big_a, big_d)
     _fallback_only(monkeypatch)
+    trsyl = scipy.linalg.lapack.dtrsyl
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # relative residual 3e-16: kept
-        assert np.array_equal(solve_lyapunov(a, d), expected)
+        # the fallback reads the perturbation from info and refuses the answer
+        with pytest.raises(NotHurwitzError, match="ill-conditioned"):
+            solve_lyapunov(a, d)
 
-        def perturbed(a, q):
-            warnings.warn('Input "a" has an eigenvalue pair whose sum is very close to '
-                          'or exactly zero.', RuntimeWarning)
-            return 0.6 * np.eye(2)
+        def perturbed(*args, **kwargs):
+            y, scale, _ = trsyl(*args, **kwargs)
+            return y, scale, 1
 
-        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", perturbed)
+        monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl", perturbed)
         with pytest.raises(NotHurwitzError, match="ill-conditioned"):
             solve_lyapunov(-np.eye(2), np.eye(2))
 
@@ -311,18 +327,19 @@ def test_solve_lyapunov_falls_back_near_defective(monkeypatch, n):
     # a Jordan block with its corner perturbed by 10**-k has an eigenbasis of
     # condition about 10**(k (n-1) / n); past the modal residual bound the
     # fallback runs and returns scipy's bits
+    # scipy's own function finds trsyl through get_lapack_funcs, so only
+    # the fallback's calls are counted
     calls = []
-    scipy_solve = scipy.linalg.solve_continuous_lyapunov
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov",
-                        lambda a, q: calls.append(1) or scipy_solve(a, q))
+    trsyl = scipy.linalg.lapack.dtrsyl
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrsyl",
+                        lambda *args, **kwargs: calls.append(1) or trsyl(*args, **kwargs))
     d = np.eye(n)
     for k in range(2, 15, 2):
         a = -np.eye(n) + np.diag(np.ones(n - 1), 1)
         a[-1, 0] = 10.0 ** -k
         before = len(calls)
         v = solve_lyapunov(a, d)
-        expected = scipy_solve(a, -d)
-        expected = 0.5 * (expected + expected.T)
+        expected = _scipy_lyapunov(a, d)
         if len(calls) > before:
             assert np.array_equal(v, expected)
         else:
@@ -446,7 +463,7 @@ def test_hurwitz_predicate():
 
 def test_permutation_roundtrip():
     perm = Permutation((2, 0, 1))
-    p = perm.matrix
+    p = np.eye(3)[list(perm.image)]
     assert_allclose(p @ p.T, np.eye(3), atol=0)
     m = np.arange(9.0).reshape(3, 3)
     assert_allclose(perm.conjugate(m), p @ m @ p.T, atol=0)

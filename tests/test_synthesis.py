@@ -10,11 +10,9 @@ from numpy.testing import assert_allclose
 from gsynth import (
     GraphMatrix,
     InfeasibleStateError,
-    InvalidRError,
     assemble_realization,
     build_C,
     build_G,
-    build_Gamma,
     build_R,
     decompose,
     factor_covariance,
@@ -26,6 +24,7 @@ from gsynth import (
 )
 from gsynth.dynamics import _van_loan_step, build_moment_system, steady_state, verify_generation
 from gsynth.numerics import DEFAULT_TOL, expm
+from gsynth.synthesis import _gamma
 from conftest import (
     SQRT6_2,
     cluster_parts,
@@ -98,29 +97,41 @@ def test_synthesize_mixed_pi_and_pair():
     assert np.abs(v.V - graph_to_covariance(graph).V).max() < 1e-9
 
 
-def test_build_Gamma_values():
-    assert_allclose(build_Gamma(tms_graph(0.7), np.diag([1.0, -1.0])),
-                    np.zeros((2, 2)), atol=1e-12)
-    gamma = build_Gamma(pair_graph(), np.diag([1.0, -1.0]))
-    assert_allclose(gamma, [[0.0, -0.5], [0.5, 0.0]], atol=1e-12)
+def test_gamma_values():
+    # Gamma is the antisymmetric part of X R Y, for an R that meets -Z R Z = R
+    r2 = np.diag([1.0, -1.0])
     r8 = np.diag([1.0, -1.0, 2.0, -2.0, 3.0, -3.0, 4.0, -4.0])
-    gamma8 = build_Gamma(eight_mode_graph(), r8)
-    expected = np.zeros((8, 8))
+    expected8 = np.zeros((8, 8))
     for j, value in enumerate([0.5, 1.0, 1.5, 2.0]):
-        expected[2 * j, 2 * j + 1] = -value
-        expected[2 * j + 1, 2 * j] = value
-    assert_allclose(gamma8, expected, atol=1e-12)
+        expected8[2 * j, 2 * j + 1] = -value
+        expected8[2 * j + 1, 2 * j] = value
+    for graph, r, expected in ((tms_graph(0.7), r2, np.zeros((2, 2))),
+                               (pair_graph(), r2, [[0.0, -0.5], [0.5, 0.0]]),
+                               (eight_mode_graph(), r8, expected8)):
+        xry = graph.X @ r @ graph.Y
+        gamma = _gamma(graph, r)
+        assert np.array_equal(gamma, 0.5 * (xry - xry.T))
+        assert_allclose(gamma, expected, atol=1e-12)
 
 
-def test_build_Gamma_rejects_inconsistent_R():
-    with pytest.raises(InvalidRError):
-        build_Gamma(tms_graph(0.7), np.eye(2))
+def test_public_names_resolve():
+    # every exported name is on the package, once; the removed ones are gone
+    import gsynth
+    import gsynth.errors
+    import gsynth.synthesis
+
+    assert [name for name in gsynth.__all__ if not hasattr(gsynth, name)] == []
+    assert len(set(gsynth.__all__)) == len(gsynth.__all__)
+    for module, name in ((gsynth, "build_Gamma"), (gsynth, "InvalidRError"),
+                         (gsynth.synthesis, "build_Gamma"), (gsynth.errors, "InvalidRError")):
+        assert not hasattr(module, name), name
+    assert not hasattr(gsynth.Permutation((1, 0)), "matrix")
 
 
 def test_build_G_reduces_to_passive_form():
     g = tms_graph(0.7)
     r = np.diag([1.0, -1.0])
-    out = build_G(g.X, g.Y, r, build_Gamma(g, r))
+    out = build_G(g.X, g.Y, r, _gamma(g, r))
     assert_allclose(out, np.diag([1.0, -1.0, 1.0, -1.0]), atol=1e-12)
     # trivial passive case
     assert_allclose(build_G(np.zeros((2, 2)), np.eye(2), np.diag([3.0, -2.0]), np.zeros((2, 2))),
@@ -293,7 +304,7 @@ def test_pair_realization_matches_reference_design():
 def test_eight_mode_reference_seed_passes_rank():
     graph = eight_mode_graph()
     r = build_R(decompose(graph))
-    gamma = build_Gamma(graph, r)
+    gamma = _gamma(graph, r)
     real = assemble_realization(graph, r, gamma, eight_mode_reference_p())
     assert verify_constraints(real).all_ok
 
@@ -588,7 +599,7 @@ def test_rank_verdict_matches_krylov_reference(tol):
         r[blocks[-1]] = r[blocks[-2]]
         r = np.diag(r)
         for p in (real.P, rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))):
-            shared = assemble_realization(graph, r, build_Gamma(graph, r), p)
+            shared = assemble_realization(graph, r, _gamma(graph, r), p)
             assert controllability_rank(_design_q(shared), p, tol) < n
             assert not verify_constraints(shared, tol).rank_condition, n
 
